@@ -25,7 +25,7 @@ from .futures import (
     price_commodity,
     price_equity_futures,
 )
-from .gan import GanConfig, GanModel, TrainReport, load_checkpoint, sample, train
+from .gan import GanConfig, GanError, GanModel, TrainReport, load_checkpoint, sample, train
 from .market_data import (
     DEFAULT_DT,
     load_dividends,
@@ -58,6 +58,13 @@ class CollapseError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: data files, model kind and hyperparameters.
+
+    The stride probe is the first min(probe_epochs, epochs) epochs of the
+    full GAN training run (see ``train_gan``), so a probe_epochs above
+    epochs probes the whole run.
+    """
+
     prices_path: str = ""
     symbol: str = ""
     dividends_path: str = ""
@@ -243,11 +250,11 @@ class EvalReport:
     train_report: TrainReport | None = None
 
 
-def gan_config_from(cfg: ExperimentConfig, scale: float, epochs: int | None = None) -> GanConfig:
+def gan_config_from(cfg: ExperimentConfig, scale: float) -> GanConfig:
     return GanConfig(
         T=cfg.T,
         noise_dim=cfg.noise_dim,
-        epochs=epochs if epochs is not None else cfg.epochs,
+        epochs=cfg.epochs,
         batch_size=cfg.batch_size,
         lr_generator=cfg.lr_generator,
         lr_discriminator=cfg.lr_discriminator,
@@ -273,24 +280,32 @@ class TrainedPipeline:
 
 
 def train_gan(cfg: ExperimentConfig, prices: np.ndarray) -> TrainedPipeline:
-    """Stride search with a short training probe, then a full training run."""
+    """Stride search in which the probe is the head of the full training run.
+
+    Each stride with at least N1 windows is trained once, with the full
+    config. The first min(probe_epochs, epochs) epochs of that run are the
+    probe: a collapse within them rejects the stride and the search moves
+    on. At the first stride that passes, the run is the model; a collapse
+    after the probe epochs raises CollapseError.
+    """
     prices = np.asarray(prices, dtype=float)
+    if cfg.probe_epochs < 1:
+        raise GanError(f"probe_epochs must be positive, got {cfg.probe_epochs}")
+    probe_epochs = min(cfg.probe_epochs, cfg.epochs)
     # the trained generator's exp head emits prices in the history's own
     # unit (gan.train works in standardised log coordinates), so no
     # headroom or rescaling is needed
-    scale = 1.0
+    full_cfg = gan_config_from(cfg, scale=1.0)
+    run = None
 
     def probe(ws) -> bool:
-        probe_cfg = gan_config_from(cfg, scale, epochs=cfg.probe_epochs)
-        batch = min(probe_cfg.batch_size, len(ws))
-        probe_cfg = replace(probe_cfg, batch_size=batch)
-        _, rep = train(ws.windows, probe_cfg)
-        return rep.collapsed
+        nonlocal run
+        run = train(ws.windows, replace(full_cfg, batch_size=min(full_cfg.batch_size, len(ws))))
+        report = run[1]
+        return report.collapsed and report.epochs_run <= probe_epochs
 
-    d, ws = search_stride(prices, cfg.T, cfg.n1, probe)
-    full_cfg = gan_config_from(cfg, scale)
-    full_cfg = replace(full_cfg, batch_size=min(full_cfg.batch_size, len(ws)))
-    model, report = train(ws.windows, full_cfg)
+    d, _ = search_stride(prices, cfg.T, cfg.n1, probe)
+    model, report = run
     report.d_used = d
     if report.collapsed:
         raise CollapseError(f"training collapsed at stride d={d}: {report.collapse_reason}")

@@ -59,42 +59,52 @@ class CheckpointError(ValueError):
     pass
 
 
-def _activate(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "identity":
-        return z
-    if kind == "exp":
-        return np.exp(z)
-    raise GanError(f"unknown activation {kind!r}")
+def _relu(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0)
 
 
-def _activate_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # derivative of the activation at z; `a` is the already-computed output
-    if kind == "relu":
-        return (z > 0.0).astype(z.dtype)
-    if kind == "sigmoid":
-        return a * (1.0 - a)
-    if kind == "tanh":
-        return 1.0 - a * a
-    if kind == "identity":
-        return np.ones_like(z)
-    if kind == "exp":
-        return a
-    raise GanError(f"unknown activation {kind!r}")
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _identity(z: np.ndarray) -> np.ndarray:
+    return z
+
+
+# activation -> (function, delta times its derivative at z given the output a)
+_ACTIVATIONS = {
+    "relu": (_relu, lambda delta, z, a: delta * (z > 0.0)),
+    "sigmoid": (_sigmoid, lambda delta, z, a: delta * (a * (1.0 - a))),
+    "tanh": (np.tanh, lambda delta, z, a: delta * (1.0 - a * a)),
+    "identity": (_identity, lambda delta, z, a: delta),
+    "exp": (np.exp, lambda delta, z, a: delta * a),
+}
+
+
+def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into one vector laid out w0, b0, w1, b1, ..."""
+    weights, biases, pos = [], [], 0
+    for rows, cols in shapes:
+        weights.append(flat[pos : pos + rows * cols].reshape(rows, cols))
+        pos += rows * cols
+        biases.append(flat[pos : pos + rows])
+        pos += rows
+    return weights, biases
 
 
 @dataclass
 class MlpParams:
-    """Dense network parameters; weights[l] has shape (dims[l+1], dims[l])."""
+    """Dense network parameters; weights[l] has shape (dims[l+1], dims[l]).
+
+    The given arrays are copied into one contiguous float64 vector,
+    ``params``; ``weights`` and ``biases`` are views into it, so an
+    update of ``params`` updates every layer.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activations: list[str]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
@@ -106,17 +116,22 @@ class MlpParams:
                 raise GanError(f"layer {l}: unknown activation {act!r}")
             if l > 0 and w.shape[1] != self.weights[l - 1].shape[0]:
                 raise GanError(f"layer {l}: input dim {w.shape[1]} breaks the chain")
+        self.params = np.empty(sum(w.size + b.size for w, b in zip(self.weights, self.biases)))
+        weights, biases = self.views(self.params)
+        for dst, src in zip(weights + biases, list(self.weights) + list(self.biases)):
+            dst[...] = src
+        self.weights, self.biases = weights, biases
+
+    def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer views into a vector laid out like ``params``."""
+        return _layer_views(flat, [w.shape for w in self.weights])
 
     @property
     def layer_dims(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activations=list(self.activations),
-        )
+        return MlpParams(list(self.weights), list(self.biases), list(self.activations))
 
 
 def init_mlp(dims: list[int], activations: list[str], rng: np.random.Generator) -> MlpParams:
@@ -136,8 +151,9 @@ def _forward_cached(net: MlpParams, x: np.ndarray):
     a = x
     pre, post = [], []
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = a @ w.T + b
-        a = _activate(act, z)
+        z = a @ w.T
+        z += b
+        a = _ACTIVATIONS[act][0](z)
         pre.append(z)
         post.append(a)
     return a, (x, pre, post)
@@ -154,23 +170,28 @@ def forward(net: MlpParams, x) -> np.ndarray:
     # no cache: each layer's values are freed once the next is computed
     out = xv
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        out = _activate(act, out @ w.T + b)
+        out = _ACTIVATIONS[act][0](out @ w.T + b)
     return out[0] if single else out
 
 
-def _backward_cached(net: MlpParams, cache, upstream: np.ndarray):
-    """Gradients of sum(upstream * output) w.r.t. parameters and input."""
+def _backward_cached(net: MlpParams, cache, upstream: np.ndarray, grad_w=None, grad_b=None,
+                     input_grad: bool = True):
+    """Backpropagate sum(upstream * output) through a cached forward pass.
+
+    Parameter gradients are written into the per-layer arrays grad_w and
+    grad_b when given and skipped otherwise. Returns the gradient with
+    respect to the input, or None when input_grad is False.
+    """
     x, pre, post = cache
-    grad_w = [None] * len(net.weights)
-    grad_b = [None] * len(net.biases)
     delta = upstream
     for l in range(len(net.weights) - 1, -1, -1):
-        delta = delta * _activate_grad(net.activations[l], pre[l], post[l])
-        a_prev = post[l - 1] if l > 0 else x
-        grad_w[l] = delta.T @ a_prev
-        grad_b[l] = delta.sum(axis=0)
-        delta = delta @ net.weights[l]
-    return grad_w, grad_b, delta
+        delta = _ACTIVATIONS[net.activations[l]][1](delta, pre[l], post[l])
+        if grad_w is not None:
+            np.matmul(delta.T, post[l - 1] if l > 0 else x, out=grad_w[l])
+            np.sum(delta, axis=0, out=grad_b[l])
+        if l > 0 or input_grad:
+            delta = delta @ net.weights[l]
+    return delta if input_grad else None
 
 
 @dataclass
@@ -193,12 +214,18 @@ def backward(net: MlpParams, x, upstream) -> MlpGrads:
     if uv.shape != (xv.shape[0], net.layer_dims[-1]):
         raise GanError(f"upstream shape {uv.shape} inconsistent with output dim")
     _, cache = _forward_cached(net, xv)
-    gw, gb, gx = _backward_cached(net, cache, uv)
+    gw, gb = net.views(np.empty_like(net.params))
+    gx = _backward_cached(net, cache, uv, gw, gb)
     return MlpGrads(weights=gw, biases=gb, inputs=gx[0] if single else gx)
 
 
 class Adam:
-    """Per-parameter adaptive steps with bias-corrected moment estimates."""
+    """Per-parameter adaptive steps with bias-corrected moment estimates.
+
+    The moments, the gradient and the temporaries are flat vectors laid
+    out like the network's ``params``; ``grad_w``/``grad_b`` are per-layer
+    views of the gradient, which training fills before calling ``update``.
+    """
 
     def __init__(self, net: MlpParams, lr: float, beta1: float, beta2: float, eps: float):
         self.lr = lr
@@ -206,25 +233,40 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m_w = [np.zeros_like(w) for w in net.weights]
-        self.v_w = [np.zeros_like(w) for w in net.weights]
-        self.m_b = [np.zeros_like(b) for b in net.biases]
-        self.v_b = [np.zeros_like(b) for b in net.biases]
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
+        self.grad = np.zeros_like(net.params)
+        self.grad_w, self.grad_b = net.views(self.grad)
+        self._step = np.empty_like(net.params)
+        self._denom = np.empty_like(net.params)
 
     def step(self, net: MlpParams, grad_w, grad_b) -> None:
+        """Update from per-layer gradients; see ``update``."""
+        for dst, src in zip(self.grad_w + self.grad_b, list(grad_w) + list(grad_b)):
+            dst[...] = src
+        self.update(net)
+
+    def update(self, net: MlpParams) -> None:
+        """One Adam step on net.params from the gradient in ``grad``."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for l in range(len(net.weights)):
-            for p, g, m, v in (
-                (net.weights[l], grad_w[l], self.m_w[l], self.v_w[l]),
-                (net.biases[l], grad_b[l], self.m_b[l], self.v_b[l]),
-            ):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        g, m, v, step, denom = self.grad, self.m, self.v, self._step, self._denom
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=step)
+        m += step
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=step)
+        step *= g
+        v += step
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=step)
+        np.multiply(self.lr, step, out=step)
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        net.params -= step
 
 
 @dataclass(frozen=True)
@@ -506,6 +548,8 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
     )
     opt_g = Adam(gen, cfg.lr_generator, cfg.beta1, cfg.beta2, cfg.adam_eps)
     opt_d = Adam(disc, cfg.lr_discriminator, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    fake_grad = np.empty_like(disc.params)
+    fake_w, fake_b = disc.views(fake_grad)
 
     transform = WindowTransform.fit(x)
     x_std = transform.transform(x)
@@ -521,30 +565,38 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
             real = real_epoch[start : start + cfg.batch_size]
             b = real.shape[0]
 
-            # discriminator step
+            # discriminator step: real-batch gradients straight into the
+            # optimiser's buffer, fake-batch ones added in place; no input
+            # gradients are needed
             z = rng.standard_normal((b, cfg.noise_dim))
-            fake, _ = _forward_cached(gen, z)
+            fake = forward(gen, z)
             d_real, cache_r = _forward_cached(disc, real)
             d_fake, cache_f = _forward_cached(disc, fake)
-            gw_r, gb_r, _ = _backward_cached(
-                disc, cache_r, _bce_upstream(d_real, cfg.real_label, b)
+            _backward_cached(
+                disc, cache_r, _bce_upstream(d_real, cfg.real_label, b),
+                opt_d.grad_w, opt_d.grad_b, input_grad=False,
             )
-            gw_f, gb_f, _ = _backward_cached(disc, cache_f, _bce_upstream(d_fake, 0.0, b))
-            opt_d.step(disc, [a + c for a, c in zip(gw_r, gw_f)], [a + c for a, c in zip(gb_r, gb_f)])
+            _backward_cached(
+                disc, cache_f, _bce_upstream(d_fake, 0.0, b),
+                fake_w, fake_b, input_grad=False,
+            )
+            opt_d.grad += fake_grad
+            opt_d.update(disc)
 
             dr = np.clip(d_real, _EPS, 1.0 - _EPS)
             df = np.clip(d_fake, _EPS, 1.0 - _EPS)
             d_epoch.append(float(-(np.log(dr).mean() + np.log1p(-df).mean())))
 
-            # generator step (non-saturating loss)
+            # generator step (non-saturating loss): only the input gradient
+            # of the discriminator, only the parameter gradients of the generator
             z = rng.standard_normal((b, cfg.noise_dim))
             fake, cache_g = _forward_cached(gen, z)
             d_out, cache_d = _forward_cached(disc, fake)
             upstream = -1.0 / (np.maximum(d_out, _EPS) * b)
-            _, _, grad_fake = _backward_cached(disc, cache_d, upstream)
+            grad_fake = _backward_cached(disc, cache_d, upstream)
             grad_fake += _moment_grad(fake @ moments, target_std) @ moments.T
-            gw_g, gb_g, _ = _backward_cached(gen, cache_g, grad_fake)
-            opt_g.step(gen, gw_g, gb_g)
+            _backward_cached(gen, cache_g, grad_fake, opt_g.grad_w, opt_g.grad_b, input_grad=False)
+            opt_g.update(gen)
             g_epoch.append(float(-np.log(np.clip(d_out, _EPS, 1.0)).mean()))
 
         report.discriminator_losses.append(float(np.mean(d_epoch)))
@@ -552,9 +604,11 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
         report.epochs_run = epoch + 1
 
         probe = forward(gen, rng.standard_normal((cfg.probe_size, cfg.noise_dim)))
+        # earlier epochs' losses were checked already: the trailing k_epochs
+        # decide the verdict, which keeps the check O(k_epochs) per epoch
         reason = detect_collapse(
-            report.discriminator_losses,
-            report.generator_losses,
+            report.discriminator_losses[-cfg.k_epochs :],
+            report.generator_losses[-cfg.k_epochs :],
             probe,
             cfg.delta_loss,
             cfg.eps_std,

@@ -2,7 +2,7 @@
 
 A window set collects every length-T slice of the source series whose
 start index steps by a stride d. The stride search walks d upward until
-the set is large enough and a short training probe reports no collapse.
+the set is large enough and a training probe reports no collapse.
 """
 
 from __future__ import annotations

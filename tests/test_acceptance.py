@@ -210,6 +210,7 @@ def synthetic_market():
     return prices, cfg, pipe, tracks, elapsed
 
 
+@pytest.mark.slow
 def test_end_to_end_gan_pipeline_tracks_closed_form(synthetic_market):
     from ganmc.options import OptionContract, payoff_index, price_option
 
@@ -237,6 +238,7 @@ def test_end_to_end_gan_pipeline_tracks_closed_form(synthetic_market):
     print(f"\nPASS end-to-end synthetic: MAPE {score:.2f}% <= 15% over 10 calls, no collapse, {train_seconds:.0f}s < 15min; {summary}")
 
 
+@pytest.mark.slow
 def test_generated_tracks_keep_history_volatility(synthetic_market):
     """Guard on the path dynamics behind the pricing criterion: the full
     N2 sample's annualised realized volatility of log-returns stays near

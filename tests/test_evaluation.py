@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from ganmc.baselines import bs_price
 from ganmc.cli import main as cli_main
+from ganmc import evaluation
 from ganmc.evaluation import (
+    CollapseError,
     ConfigError,
     ExperimentConfig,
     StageError,
@@ -15,7 +17,10 @@ from ganmc.evaluation import (
     parse_config,
     render_report,
     run_pipeline,
+    train_gan,
 )
+from ganmc.gan import TrainReport, save_checkpoint, train
+from ganmc.windowing import partition
 from ganmc.options import PricingError
 
 from conftest import gbm_prices, write_price_csv
@@ -203,6 +208,68 @@ class TestRunPipeline:
         report = run_pipeline(parse_config(cfg_path))
         assert len(report.rows) == 1
         assert report.rows[0][1] >= 0.0
+
+
+class TestTrainGan:
+    def _cfg(self, **overrides):
+        values = dict(model="gan-mc", T=16, n1=5, seed=0, epochs=40, batch_size=32, probe_epochs=5)
+        values.update(overrides)
+        return ExperimentConfig(**values)
+
+    def test_model_is_the_full_run_at_the_chosen_stride(self, tmp_path):
+        prices = gbm_prices(260, seed=2)
+        cfg = self._cfg()
+        pipe = train_gan(cfg, prices)
+        ws = partition(prices, pipe.d, cfg.T)
+        full_cfg = evaluation.gan_config_from(cfg, 1.0)
+        model, report = train(ws.windows, full_cfg)
+        save_checkpoint(pipe.model, tmp_path / "pipe.gmc")
+        save_checkpoint(model, tmp_path / "full.gmc")
+        assert (tmp_path / "pipe.gmc").read_bytes() == (tmp_path / "full.gmc").read_bytes()
+        assert pipe.report.epochs_run == report.epochs_run == cfg.epochs
+
+    def _scripted(self, monkeypatch, collapse_at):
+        """Replace `train` by a stub that collapses at stride d after collapse_at[d] epochs."""
+        calls = []
+
+        def fake_train(windows, cfg):
+            # strides are tried as 1, 2, ...; each has at least N1 windows here
+            d = len(calls) + 1
+            calls.append((d, cfg.epochs))
+            stop = collapse_at.get(d)
+            report = TrainReport(epochs_run=cfg.epochs if stop is None else stop)
+            if stop is not None:
+                report.collapsed = True
+                report.collapse_reason = "scripted"
+            return object(), report
+
+        monkeypatch.setattr(evaluation, "train", fake_train)
+        return calls
+
+    def test_one_training_call_per_stride(self, monkeypatch):
+        # d=1 collapses inside the probe epochs, d=2 at the last probe epoch
+        calls = self._scripted(monkeypatch, {1: 3, 2: 5})
+        pipe = train_gan(self._cfg(), gbm_prices(260, seed=2))
+        assert pipe.d == 3
+        assert calls == [(1, 40), (2, 40), (3, 40)]
+
+    def test_collapse_after_probe_epochs_raises(self, monkeypatch):
+        calls = self._scripted(monkeypatch, {1: 3, 2: 6})
+        with pytest.raises(CollapseError, match="d=2"):
+            train_gan(self._cfg(), gbm_prices(260, seed=2))
+        assert calls == [(1, 40), (2, 40)]
+
+    def test_probe_epochs_beyond_epochs_probe_the_whole_run(self, monkeypatch):
+        # probe_epochs > epochs: the probe is min(probe_epochs, epochs) = 10
+        # epochs; the run stops at epoch 10, so nothing later can reject it
+        calls = self._scripted(monkeypatch, {1: 10})
+        pipe = train_gan(self._cfg(epochs=10, probe_epochs=50), gbm_prices(260, seed=2))
+        assert pipe.d == 2
+        assert calls == [(1, 10), (2, 10)]
+
+    def test_nonpositive_probe_epochs_rejected(self):
+        with pytest.raises(ValueError, match="probe_epochs"):
+            train_gan(self._cfg(probe_epochs=0), gbm_prices(260, seed=2))
 
 
 class TestGenerateTracks:

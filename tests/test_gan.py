@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ganmc.gan import (
+    Adam,
     CheckpointError,
     GanConfig,
     GanError,
@@ -102,6 +103,64 @@ class TestBackward:
         net = init_mlp([4, 2], ["sigmoid"], rng)
         with pytest.raises(GanError):
             backward(net, np.ones(4), np.ones(3))
+
+
+class TestFlatParams:
+    def test_layers_are_views_of_one_vector(self, rng):
+        net = init_mlp([4, 6, 3], ["relu", "identity"], rng)
+        assert net.params.size == 4 * 6 + 6 + 6 * 3 + 3
+        for arr in net.weights + net.biases:
+            assert np.shares_memory(arr, net.params)
+        net.params[:] = 0.0
+        assert all(np.all(w == 0.0) for w in net.weights)
+
+    def test_copy_is_independent(self, rng):
+        net = init_mlp([4, 6, 3], ["relu", "identity"], rng)
+        before = net.params.copy()
+        twin = net.copy()
+        twin.params += 1.0
+        np.testing.assert_array_equal(net.params, before)
+
+
+def reference_adam(weights, biases, grads, lr, beta1, beta2, eps):
+    """Per-array Adam: the same elementwise sequence, one layer array at a time."""
+    params = [w.copy() for w in weights] + [b.copy() for b in biases]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, (gw, gb) in enumerate(grads, start=1):
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for p, g, m, v in zip(params, list(gw) + list(gb), ms, vs):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return params
+
+
+class TestAdam:
+    @pytest.mark.parametrize(
+        "dims, acts",
+        [
+            ([32, 128, 256, 64], ["relu", "relu", "identity"]),  # generator
+            ([64, 256, 64, 1], ["relu", "relu", "sigmoid"]),  # discriminator
+        ],
+    )
+    def test_flat_step_bit_equal_to_per_array_loop(self, dims, acts, rng):
+        net = init_mlp(dims, acts, rng)
+        grads = []
+        for _ in range(5):
+            grads.append((
+                [rng.standard_normal(w.shape) for w in net.weights],
+                [rng.standard_normal(b.shape) for b in net.biases],
+            ))
+        expected = reference_adam(net.weights, net.biases, grads, 2e-4, 0.5, 0.999, 1e-8)
+        opt = Adam(net, 2e-4, 0.5, 0.999, 1e-8)
+        for gw, gb in grads:
+            opt.step(net, gw, gb)
+        for got, want in zip(net.weights + net.biases, expected):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestDetectCollapse:
