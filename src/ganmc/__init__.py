@@ -1,67 +1,3 @@
 """Generative-network Monte Carlo pricing for options, forwards and futures."""
 
 __version__ = "0.1.0"
-
-from .market_data import (
-    DividendSeries,
-    MarketDataError,
-    MarketParams,
-    PriceSeries,
-    QuoteSeries,
-    load_dividends,
-    load_price_series,
-    load_quotes,
-)
-from .windowing import WindowSet, covariance_rank, partition, search_stride
-from .similarity import SimilarityRanking, rank_and_select, tsim
-from .gan import (
-    GanConfig,
-    GanModel,
-    MlpParams,
-    TrainReport,
-    backward,
-    detect_collapse,
-    forward,
-    load_checkpoint,
-    sample,
-    save_checkpoint,
-    train,
-)
-from .options import (
-    OptionContract,
-    OptionPrice,
-    empirical_variance,
-    price_american,
-    price_european_call,
-    price_european_put,
-    price_option,
-)
-from .futures import (
-    CarryEstimate,
-    CommodityForwardContract,
-    DividendFit,
-    EquityFuturesContract,
-    estimate_carry,
-    fit_dividends,
-    predict_dividend,
-    price_commodity,
-    price_equity_futures,
-)
-from .baselines import (
-    GbmParams,
-    LinearPricer,
-    bs_price,
-    estimate_gbm,
-    fit_linear_pricer,
-    gbm_mc_commodity,
-    gbm_mc_equity_futures,
-    gbm_mc_option,
-    lr_price,
-)
-from .evaluation import (
-    EvalReport,
-    ExperimentConfig,
-    mape,
-    parse_config,
-    run_pipeline,
-)

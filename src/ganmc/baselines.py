@@ -1,6 +1,6 @@
 """Reference pricers: Black-Scholes, GBM Monte Carlo, linear regression.
 
-The GBM simulators use the exact lognormal daily step, so paths stay
+The GBM simulator uses the exact lognormal daily step, so paths stay
 positive regardless of the step size. The Monte Carlo option baseline
 anchors the drift to the strike (log(X/s)/tau) by default;
 `risk_neutral=True` switches to the risk-neutral drift r.
@@ -13,19 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import DEFAULT_DT, PriceSeries, QuoteSeries
-from .options import PricingError, discount_factor
-from .futures import estimate_carry
-
-
-@dataclass(frozen=True)
-class GbmParams:
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise PricingError(f"volatility must be >= 0, got {self.sigma}")
+from .market_data import DEFAULT_DT
+from .options import PricingError, price_terminals
 
 
 @dataclass(frozen=True)
@@ -107,71 +96,7 @@ def gbm_mc_option(
     # price drift is plain r
     mu = r if risk_neutral else math.log(strike / spot) / tau
     terminal = simulate_gbm_terminals(spot, mu, sigma, tau, n_paths, seed, dt)
-    if side == "call":
-        mean_payoff = float(np.maximum(terminal - strike, 0.0).mean())
-    elif side == "put":
-        mean_payoff = float(np.maximum(strike - terminal, 0.0).mean())
-    else:
-        raise PricingError(f"side must be call or put, got {side!r}")
-    lower = discount_factor(r, tau, dt) * mean_payoff
-    if style == "european":
-        return lower
-    if style == "american":
-        return 0.5 * (lower + mean_payoff)
-    raise PricingError(f"style must be european or american, got {style!r}")
-
-
-def estimate_gbm(series: PriceSeries, dt: float = DEFAULT_DT) -> GbmParams:
-    """Drift from mean simple returns per unit time, volatility from log returns."""
-    s = np.asarray(series.prices, dtype=float)
-    if s.shape[0] < 3:
-        raise PricingError(f"series too short to estimate GBM: {s.shape[0]} < 3")
-    simple = np.diff(s) / s[:-1]
-    mu = float(simple.mean() / dt)
-    log_returns = np.diff(np.log(s))
-    sigma = float(log_returns.std(ddof=1) / math.sqrt(dt))
-    return GbmParams(mu=mu, sigma=sigma)
-
-
-def gbm_mc_equity_futures(
-    spot: float,
-    r: float,
-    tau: float,
-    dividend_forecast: float,
-    params: GbmParams,
-    n_paths: int,
-    seed: int,
-    dt: float = DEFAULT_DT,
-) -> float:
-    """Equity futures price with GBM terminals in the dividend-yield term."""
-    if not (spot > 0):
-        raise PricingError(f"spot must be positive, got {spot}")
-    if not (tau > 0):
-        raise PricingError(f"tau must be positive, got {tau}")
-    terminal = simulate_gbm_terminals(spot, params.mu, params.sigma, tau, n_paths, seed, dt)
-    mean_yield = float((dividend_forecast / terminal).mean())
-    return float(spot * math.exp((r - mean_yield) * tau))
-
-
-def gbm_mc_commodity(
-    spot: float,
-    quotes: QuoteSeries,
-    r: float,
-    tau: float,
-    n3: int,
-    params: GbmParams,
-    n_paths: int,
-    seed: int,
-    dt: float = DEFAULT_DT,
-) -> float:
-    """Commodity forward/futures price with GBM terminals plus compounded carry."""
-    if not (spot > 0):
-        raise PricingError(f"spot must be positive, got {spot}")
-    if not (tau > 0):
-        raise PricingError(f"tau must be positive, got {tau}")
-    carry = estimate_carry(quotes, r, tau, n3)
-    terminal = simulate_gbm_terminals(spot, params.mu, params.sigma, tau, n_paths, seed, dt)
-    return float(terminal.mean() + carry.value * math.exp(r * tau))
+    return price_terminals(side, style, terminal, strike, r, tau, dt).value
 
 
 def _option_in_regime(moneyness: float, side: str, regime: str) -> bool:

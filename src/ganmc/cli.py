@@ -16,7 +16,6 @@ from .evaluation import (
     ConfigError,
     StageError,
     generate_tracks_csv,
-    obtain_model,
     parse_config,
     price_commodity_pipeline,
     price_equity_futures_pipeline,

@@ -247,7 +247,6 @@ class EvalReport:
     mape_percent: float
     runtime_seconds: float
     config_text: str
-    train_report: TrainReport | None = None
 
 
 def gan_config_from(cfg: ExperimentConfig, scale: float) -> GanConfig:
@@ -353,17 +352,26 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
+def _load_prices(cfg: ExperimentConfig) -> np.ndarray:
+    series = _stage("market_data", load_price_series, cfg.prices_path, cfg.symbol)
+    return np.asarray(series.prices, dtype=float)
+
+
+def _retained(cfg: ExperimentConfig) -> tuple[TrainedPipeline, np.ndarray]:
+    """Load the history, obtain the model, and keep the most similar of N2 tracks."""
+    pipe = _stage("gan_core", obtain_model, cfg, _load_prices(cfg))
+    return pipe, _stage("similarity", selected_tracks, pipe, cfg)
+
+
 def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     """Price every contract in the fixture with the configured model."""
     started = time.monotonic()
-    series = _stage("market_data", load_price_series, cfg.prices_path, cfg.symbol)
     contracts = _stage("market_data", load_contracts, cfg.contracts_path)
-    prices = np.asarray(series.prices, dtype=float)
-    spot = float(prices[-1])
-
     if cfg.model == "gan-mc":
-        pipe = _stage("gan_core", obtain_model, cfg, prices)
-        tracks = _stage("similarity", selected_tracks, pipe, cfg)
+        pipe, tracks = _retained(cfg)
+        spot = pipe.spot
+    else:
+        spot = float(_load_prices(cfg)[-1])
 
     if cfg.model.startswith("lr"):
         split = cfg.lr_train_rows
@@ -429,7 +437,6 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
         mape_percent=score,
         runtime_seconds=time.monotonic() - started,
         config_text=config_echo(cfg),
-        train_report=None,
     )
 
 
@@ -462,31 +469,24 @@ def generate_tracks_csv(cfg: ExperimentConfig, count: int, out_path: str) -> Non
     keep = retained_count(cfg.n2, cfg.alpha)
     if count > keep:
         raise ConfigError(f"count {count} exceeds retained set size {keep}")
-    series = _stage("market_data", load_price_series, cfg.prices_path, cfg.symbol)
-    prices = np.asarray(series.prices, dtype=float)
-    pipe = _stage("gan_core", obtain_model, cfg, prices)
-    tracks = sample(pipe.model, cfg.n2, cfg.seed)
-    ranking = rank_and_select(tracks, pipe.reference, cfg.alpha)
-    chosen = ranking.order[-count:]  # the most similar tracks
+    _, tracks = _retained(cfg)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["track_id", "day_offset", "price"])
-        for track_id, idx in enumerate(chosen):
-            for day, price in enumerate(tracks[idx], start=1):
+        # the retained set ascends in similarity, so its tail is the most similar
+        for track_id, track in enumerate(tracks[-count:]):
+            for day, price in enumerate(track, start=1):
                 writer.writerow([track_id, day, repr(float(price))])
 
 
 def price_equity_futures_pipeline(cfg: ExperimentConfig, t0_years: float) -> float:
     """End-to-end equity futures price: train/sample/filter plus dividend fit."""
-    series = _stage("market_data", load_price_series, cfg.prices_path, cfg.symbol)
     if not cfg.dividends_path:
         raise ConfigError("equity futures pricing needs [data] dividends")
     dividends = _stage("market_data", load_dividends, cfg.dividends_path, cfg.symbol)
-    prices = np.asarray(series.prices, dtype=float)
-    pipe = _stage("gan_core", obtain_model, cfg, prices)
-    tracks = _stage("similarity", selected_tracks, pipe, cfg)
     fit = _stage("pricing_futures", fit_dividends, dividends)
     k = payoff_index(t0_years, cfg.dt, cfg.T)
+    pipe, tracks = _retained(cfg)
     forecast = predict_dividend(fit, (pipe.n_obs - 1) + k)
     return _stage(
         "pricing_futures",
@@ -502,16 +502,13 @@ def price_equity_futures_pipeline(cfg: ExperimentConfig, t0_years: float) -> flo
 
 def price_commodity_pipeline(cfg: ExperimentConfig, t0_years: float) -> float:
     """End-to-end commodity forward/futures price with empirical carry."""
-    series = _stage("market_data", load_price_series, cfg.prices_path, cfg.symbol)
     if not cfg.quotes_path:
         raise ConfigError("commodity pricing needs [data] quotes")
     quotes = _stage(
         "market_data", load_quotes, cfg.quotes_path, cfg.quote_id or cfg.symbol
     )
-    prices = np.asarray(series.prices, dtype=float)
-    pipe = _stage("gan_core", obtain_model, cfg, prices)
-    tracks = _stage("similarity", selected_tracks, pipe, cfg)
     carry = _stage("pricing_futures", estimate_carry, quotes, cfg.r, t0_years, cfg.n3)
+    _, tracks = _retained(cfg)
     return _stage(
         "pricing_futures", price_commodity, tracks, carry, cfg.r, t0_years, cfg.dt
     )
@@ -519,8 +516,5 @@ def price_commodity_pipeline(cfg: ExperimentConfig, t0_years: float) -> float:
 
 def price_option_pipeline(cfg: ExperimentConfig, contract: OptionContract) -> float:
     """End-to-end option price from the configured price history."""
-    series = _stage("market_data", load_price_series, cfg.prices_path, cfg.symbol)
-    prices = np.asarray(series.prices, dtype=float)
-    pipe = _stage("gan_core", obtain_model, cfg, prices)
-    tracks = _stage("similarity", selected_tracks, pipe, cfg)
+    _, tracks = _retained(cfg)
     return _stage("pricing_options", price_option, contract, tracks, cfg.r, cfg.dt).value

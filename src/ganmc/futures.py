@@ -32,35 +32,6 @@ class DividendFit:
 
 
 @dataclass(frozen=True)
-class EquityFuturesContract:
-    underlying: str
-    t0_years: float
-    dividends: DividendSeries
-
-    def __post_init__(self):
-        if not (self.t0_years > 0):
-            raise PricingError(f"time to delivery must be positive, got {self.t0_years}")
-
-
-@dataclass(frozen=True)
-class CommodityForwardContract:
-    underlying: str
-    t0_years: float
-    quotes: QuoteSeries
-    n3: int
-
-    def __post_init__(self):
-        if not (self.t0_years > 0):
-            raise PricingError(f"time to delivery must be positive, got {self.t0_years}")
-        if self.n3 < 0:
-            raise PricingError(f"N3 must be >= 0, got {self.n3}")
-        if len(self.quotes) < self.n3 + 1:
-            raise PricingError(
-                f"need at least N3+1={self.n3 + 1} quotes, got {len(self.quotes)}"
-            )
-
-
-@dataclass(frozen=True)
 class CarryEstimate:
     """Average cost of carry; may be negative under backwardation."""
 

@@ -98,18 +98,6 @@ class QuoteSeries:
         return len(self.last)
 
 
-@dataclass(frozen=True)
-class MarketParams:
-    """Flat risk-free rate and the trading-day time unit (year fraction)."""
-
-    r: float
-    dt: float = DEFAULT_DT
-
-    def __post_init__(self):
-        if not (self.dt > 0):
-            raise MarketDataError(f"dt must be positive, got {self.dt}")
-
-
 def _read_rows(path, expected_header: list[str]) -> list[list[str]]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -8,11 +8,8 @@ discounted and undiscounted payoff means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-from .similarity import rank_and_select
 
 
 class PricingError(ValueError):
@@ -77,21 +74,11 @@ def _terminal_values(tracks, t0_years: float, dt: float) -> np.ndarray:
     return mat[:, k - 1]
 
 
-def price_european_call(tracks, strike: float, r: float, t0_years: float, dt: float) -> OptionPrice:
-    terminal = _terminal_values(tracks, t0_years, dt)
-    value = discount_factor(r, t0_years, dt) * float(np.maximum(terminal - strike, 0.0).mean())
-    return OptionPrice(value=value, lower=value, upper=value, n_samples=terminal.shape[0])
-
-
-def price_european_put(tracks, strike: float, r: float, t0_years: float, dt: float) -> OptionPrice:
-    terminal = _terminal_values(tracks, t0_years, dt)
-    value = discount_factor(r, t0_years, dt) * float(np.maximum(strike - terminal, 0.0).mean())
-    return OptionPrice(value=value, lower=value, upper=value, n_samples=terminal.shape[0])
-
-
-def price_american(side: str, tracks, strike: float, r: float, t0_years: float, dt: float) -> OptionPrice:
-    """Midpoint of the discounted (lower) and undiscounted (upper) payoff means."""
-    terminal = _terminal_values(tracks, t0_years, dt)
+def price_terminals(
+    side: str, style: str, terminal: np.ndarray, strike: float, r: float, t0_years: float, dt: float
+) -> OptionPrice:
+    """Discounted mean payoff; for American style, the midpoint of the
+    discounted (lower) and undiscounted (upper) payoff means."""
     if side == "call":
         mean_payoff = float(np.maximum(terminal - strike, 0.0).mean())
     elif side == "put":
@@ -99,46 +86,17 @@ def price_american(side: str, tracks, strike: float, r: float, t0_years: float, 
     else:
         raise PricingError(f"side must be call or put, got {side!r}")
     lower = discount_factor(r, t0_years, dt) * mean_payoff
-    upper = mean_payoff
-    return OptionPrice(
-        value=0.5 * (lower + upper),
-        lower=lower,
-        upper=upper,
-        n_samples=terminal.shape[0],
-    )
+    n = terminal.shape[0]
+    if style == "european":
+        return OptionPrice(value=lower, lower=lower, upper=lower, n_samples=n)
+    if style == "american":
+        value = 0.5 * (lower + mean_payoff)
+        return OptionPrice(value=value, lower=lower, upper=mean_payoff, n_samples=n)
+    raise PricingError(f"style must be european or american, got {style!r}")
 
 
 def price_option(contract: OptionContract, tracks, r: float, dt: float) -> OptionPrice:
-    if contract.style == "american":
-        return price_american(contract.side, tracks, contract.strike, r, contract.t0_years, dt)
-    if contract.side == "call":
-        return price_european_call(tracks, contract.strike, r, contract.t0_years, dt)
-    return price_european_put(tracks, contract.strike, r, contract.t0_years, dt)
-
-
-def empirical_variance(
-    sample_tracks: Callable[[int, int], np.ndarray],
-    price_fn: Callable[[np.ndarray], float],
-    reference: np.ndarray,
-    alpha: float,
-    repetitions: int,
-    n2_values,
-    seed: int = 0,
-) -> list[tuple[int, float]]:
-    """Sample variance of the full sample->filter->price pipeline.
-
-    For each N2, the pipeline runs `repetitions` times with distinct
-    seeds derived from `seed`; the table pairs each N2 with the sample
-    variance of the resulting prices.
-    """
-    if repetitions < 2:
-        raise PricingError(f"need at least 2 repetitions, got {repetitions}")
-    table = []
-    for n2 in n2_values:
-        prices = np.empty(repetitions)
-        for rep in range(repetitions):
-            tracks = sample_tracks(n2, seed + rep)
-            ranking = rank_and_select(tracks, reference, alpha)
-            prices[rep] = price_fn(tracks[ranking.selected])
-        table.append((int(n2), float(prices.var(ddof=1))))
-    return table
+    terminal = _terminal_values(tracks, contract.t0_years, dt)
+    return price_terminals(
+        contract.side, contract.style, terminal, contract.strike, r, contract.t0_years, dt
+    )

@@ -19,11 +19,10 @@ class SimilarityError(ValueError):
 
 @dataclass(frozen=True)
 class SimilarityRanking:
-    """Per-track scores, ascending-score order, and the retained index set."""
+    """Per-track scores and the retained index set."""
 
     scores: np.ndarray    # shape (N2,), in [0, 1]
-    order: np.ndarray     # permutation of 0..N2-1, non-decreasing scores
-    selected: np.ndarray  # 0-based indices of retained tracks (highest scores)
+    selected: np.ndarray  # 0-based indices of retained tracks, ascending score
 
     def __post_init__(self):
         if len(self.selected) < 1:
@@ -76,8 +75,6 @@ def rank_and_select(tracks, reference, alpha: float) -> SimilarityRanking:
             f"reference length {ref.shape[0]} != track length {mat.shape[1]}"
         )
     scores = _similarities(mat, ref)
-    order = np.argsort(scores, kind="stable")
-    n2 = mat.shape[0]
-    keep = retained_count(n2, alpha)
-    selected = order[n2 - keep :]
-    return SimilarityRanking(scores=scores, order=order, selected=selected)
+    keep = retained_count(mat.shape[0], alpha)
+    selected = np.argsort(scores, kind="stable")[-keep:]
+    return SimilarityRanking(scores=scores, selected=selected)

@@ -7,15 +7,10 @@ the set is large enough and a training probe reports no collapse.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-log = logging.getLogger(__name__)
-
-DEFAULT_RANK_TOL = 1e-8
 
 
 class WindowingError(ValueError):
@@ -67,30 +62,6 @@ def partition(values: Sequence[float] | np.ndarray, d: int, T: int) -> WindowSet
     count = (n - T) // d + 1
     windows = np.stack([src[k * d : k * d + T] for k in range(count)])
     return WindowSet(windows=windows, d=d, T=T, n=n)
-
-
-def covariance_rank(ws: WindowSet, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank of the sample covariance of the windows.
-
-    Counts singular values above tol times the largest one; the zero
-    matrix has rank 0.
-    """
-    if len(ws) < 2:
-        raise WindowingError("need at least 2 windows for a covariance rank")
-    centered = ws.windows - ws.windows.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / (len(ws) - 1)
-    sv = np.linalg.svd(cov, compute_uv=False)
-    if sv[0] <= 0.0:
-        return 0
-    rank = int(np.sum(sv > tol * sv[0]))
-    if rank < ws.T / 4:
-        log.warning(
-            "covariance rank %d is low relative to window length %d; "
-            "training may be unstable",
-            rank,
-            ws.T,
-        )
-    return rank
 
 
 def search_stride(

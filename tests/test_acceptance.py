@@ -16,16 +16,10 @@ from ganmc.cli import main as cli_main
 from ganmc.evaluation import mape
 from ganmc.futures import CarryEstimate, price_commodity, price_equity_futures
 from ganmc.gan import GanModel, backward, forward, init_mlp, load_checkpoint, sample, save_checkpoint
-from ganmc.options import (
-    empirical_variance,
-    price_american,
-    price_european_call,
-    price_european_put,
-)
 from ganmc.similarity import tsim
 from ganmc.windowing import partition
 
-from conftest import gbm_prices, write_price_csv
+from conftest import empirical_variance, gbm_prices, priced, write_price_csv
 
 DT = 1 / 252
 
@@ -156,10 +150,10 @@ def test_variance_does_not_grow_with_sample_count():
         return 100.0 * np.exp(0.08 * rng.standard_normal((n2, T)))
 
     def call_fn(tracks):
-        return price_european_call(tracks, 100.0, 0.05, T / 252, DT).value
+        return priced("call", "european", tracks, 100.0, 0.05, T / 252, DT).value
 
     def put_fn(tracks):
-        return price_european_put(tracks, 100.0, 0.05, T / 252, DT).value
+        return priced("put", "european", tracks, 100.0, 0.05, T / 252, DT).value
 
     def eqf_fn(tracks):
         return price_equity_futures(100.0, tracks, 1.0, 0.05, T / 252, DT)
@@ -186,7 +180,7 @@ def test_american_bounds_ordered_and_tight_at_zero_rate():
         strike = float(rng.uniform(40, 180))
         side = "call" if i % 2 == 0 else "put"
         r = 0.0 if i % 3 == 0 else float(rng.uniform(0.001, 0.12))
-        price = price_american(side, tracks, strike, r, T / 252, DT)
+        price = priced(side, "american", tracks, strike, r, T / 252, DT)
         assert price.lower <= price.value <= price.upper
         if r == 0.0:
             assert price.lower == price.value == price.upper

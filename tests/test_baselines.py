@@ -6,29 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ganmc.baselines import (
-    GbmParams,
     bs_price,
-    estimate_gbm,
     fit_linear_pricer,
-    gbm_mc_commodity,
-    gbm_mc_equity_futures,
     gbm_mc_option,
     lr_price,
     norm_cdf,
     simulate_gbm_terminals,
 )
-from ganmc.market_data import PriceSeries, QuoteSeries
 from ganmc.options import PricingError
 
-from conftest import gbm_prices, iso_dates
-
 DT = 1 / 252
-
-
-def make_series(prices):
-    return PriceSeries(
-        symbol="SYM", dates=tuple(iso_dates(len(prices))), prices=tuple(prices)
-    )
 
 
 def quadrature_call(spot, strike, r, sigma, tau):
@@ -111,61 +98,6 @@ class TestGbmMcOption:
         small = np.var([reprice(500, s) for s in range(60)], ddof=1)
         large = np.var([reprice(2000, 1000 + s) for s in range(60)], ddof=1)
         assert large < small
-
-
-class TestEstimateGbm:
-    def test_constant_series_zero_params(self):
-        params = estimate_gbm(make_series([100.0] * 10))
-        assert params.mu == 0.0
-        assert params.sigma == 0.0
-
-    def test_compound_growth_exact_drift(self):
-        c = 0.001
-        prices = [100.0 * (1 + c) ** t for t in range(50)]
-        params = estimate_gbm(make_series(prices), dt=DT)
-        assert params.mu == pytest.approx(c / DT, rel=1e-9)
-        assert params.sigma == pytest.approx(0.0, abs=1e-9)
-
-    def test_synthetic_gbm_recovers_volatility(self):
-        prices = gbm_prices(10**4, mu=0.0, sigma=0.2, seed=21)
-        params = estimate_gbm(make_series(prices.tolist()), dt=DT)
-        assert params.sigma == pytest.approx(0.2, rel=0.05)
-
-    def test_too_short(self):
-        with pytest.raises(PricingError, match="too short"):
-            estimate_gbm(make_series([1.0, 2.0]))
-
-
-class TestGbmMcFutures:
-    def test_zero_dividend_cost_of_carry(self):
-        params = GbmParams(mu=0.05, sigma=0.2)
-        price = gbm_mc_equity_futures(100.0, 0.05, 0.5, 0.0, params, 1000, seed=0)
-        assert price == pytest.approx(100.0 * math.exp(0.025), rel=1e-12)
-
-    def test_zero_vol_hand_value(self):
-        params = GbmParams(mu=0.0, sigma=0.0)
-        tau = 0.25
-        price = gbm_mc_equity_futures(100.0, 0.05, tau, 2.0, params, 10, seed=0)
-        expected = 100.0 * math.exp((0.05 - 2.0 / 100.0) * tau)
-        assert price == pytest.approx(expected, rel=1e-12)
-
-    def test_seed_reproducibility(self):
-        params = GbmParams(mu=0.02, sigma=0.3)
-        a = gbm_mc_equity_futures(100.0, 0.05, 0.5, 1.0, params, 500, seed=9)
-        b = gbm_mc_equity_futures(100.0, 0.05, 0.5, 1.0, params, 500, seed=9)
-        assert a == b
-
-    def test_commodity_zero_vol(self):
-        quotes = QuoteSeries(
-            contract_id="FUT",
-            dates=tuple(iso_dates(2)),
-            last=(105.0, 105.0),
-            ttd_years=(0.25, 0.25),
-            spot=(100.0, 100.0),
-        )
-        params = GbmParams(mu=0.0, sigma=0.0)
-        price = gbm_mc_commodity(100.0, quotes, 0.0, 0.25, 1, params, 100, seed=0)
-        assert price == pytest.approx(100.0 + 5.0, rel=1e-12)
 
 
 class TestLinearPricer:

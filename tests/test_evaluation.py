@@ -14,16 +14,26 @@ from ganmc.evaluation import (
     generate_tracks_csv,
     load_contracts,
     mape,
+    obtain_model,
     parse_config,
     render_report,
     run_pipeline,
+    selected_tracks,
     train_gan,
 )
+from ganmc.futures import (
+    estimate_carry,
+    fit_dividends,
+    predict_dividend,
+    price_commodity,
+    price_equity_futures,
+)
 from ganmc.gan import TrainReport, save_checkpoint, train
+from ganmc.market_data import load_dividends, load_price_series, load_quotes
 from ganmc.windowing import partition
-from ganmc.options import PricingError
+from ganmc.options import OptionContract, PricingError, price_option
 
-from conftest import gbm_prices, write_price_csv
+from conftest import gbm_prices, write_dividend_csv, write_price_csv, write_quote_csv
 
 
 def write_contracts(path, rows):
@@ -359,3 +369,126 @@ class TestCli:
         assert code == 0
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(bs_price("call", spot, 100.0, 0.05, 0.2, 0.25), abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory):
+    """Price history, dividends, quotes and a saved small checkpoint (T=16, N2=64)."""
+    root = tmp_path_factory.mktemp("commands")
+    prices = gbm_prices(260, seed=2)
+    prices_path = write_price_csv(root / "prices.csv", prices.tolist())
+    dividends_path = write_dividend_csv(root / "dividends.csv", np.linspace(1.0, 1.5, 260).tolist())
+    quotes_path = write_quote_csv(
+        root / "quotes.csv", [(p + 1.0 + 0.01 * i, 0.25, p) for i, p in enumerate(prices[-20:])]
+    )
+    base = dict(
+        data__prices=prices_path, data__dividends=dividends_path, data__quotes=quotes_path,
+        model__kind="gan-mc", model__N3="9",
+    )
+    pipe = train_gan(parse_config(write_config(root / "train.cfg", **base)), prices)
+    checkpoint = root / "model.gmc"
+    save_checkpoint(pipe.model, checkpoint)
+    return root, base, checkpoint
+
+
+class TestPriceCommands:
+    """Each GAN-MC command prints the price of its pricer on the retained tracks."""
+
+    T0 = 10 / 252
+
+    @pytest.fixture
+    def setup(self, command_files):
+        root, base, checkpoint = command_files
+        cfg_path = write_config(root / "saved.cfg", gan__checkpoint=checkpoint, **base)
+        cfg = parse_config(cfg_path)
+        prices = np.asarray(load_price_series(cfg.prices_path, cfg.symbol).prices)
+        tracks = selected_tracks(obtain_model(cfg, prices), cfg)
+        return cfg_path, cfg, prices, tracks
+
+    def _printed(self, capsys, cfg_path, *argv):
+        assert cli_main(["--config", str(cfg_path), *argv]) == 0
+        return capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("style", ["european", "american"])
+    def test_price_option(self, setup, capsys, style):
+        cfg_path, cfg, _, tracks = setup
+        contract = OptionContract(side="call", style=style, strike=100.0, t0_years=self.T0)
+        expected = price_option(contract, tracks, cfg.r, cfg.dt).value
+        printed = self._printed(
+            capsys, cfg_path, "price-option", "--side", "call", "--style", style,
+            "--strike", "100", "--t0", repr(self.T0),
+        )
+        assert printed == f"{expected:.6f}"
+
+    def test_price_equity_futures(self, setup, capsys):
+        cfg_path, cfg, prices, tracks = setup
+        fit = fit_dividends(load_dividends(cfg.dividends_path, cfg.symbol))
+        forecast = predict_dividend(fit, (len(prices) - 1) + 10)
+        expected = price_equity_futures(prices[-1], tracks, forecast, cfg.r, self.T0, cfg.dt)
+        printed = self._printed(capsys, cfg_path, "price-equity-futures", "--t0", repr(self.T0))
+        assert printed == f"{expected:.6f}"
+
+    def test_price_commodity(self, setup, capsys):
+        cfg_path, cfg, _, tracks = setup
+        carry = estimate_carry(load_quotes(cfg.quotes_path, cfg.symbol), cfg.r, self.T0, cfg.n3)
+        expected = price_commodity(tracks, carry, cfg.r, self.T0, cfg.dt)
+        printed = self._printed(capsys, cfg_path, "price-commodity", "--t0", repr(self.T0))
+        assert printed == f"{expected:.6f}"
+
+    def test_generate_writes_the_last_retained_tracks(self, setup, tmp_path):
+        cfg_path, _, _, tracks = setup
+        out = tmp_path / "tracks.csv"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out), "generate", "--count", "5"]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        written = np.array([float(row.split(",")[2]) for row in rows]).reshape(5, 16)
+        np.testing.assert_array_equal(written, tracks[-5:])
+
+
+class TestFailBeforeTraining:
+    """Bad inputs exit 1 before any training starts."""
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        calls = []
+
+        def refuse(windows, cfg):
+            calls.append(cfg)
+            raise RuntimeError("training started")
+
+        monkeypatch.setattr(evaluation, "train", refuse)
+        return calls
+
+    def _exit_code(self, command_files, tmp_path, argv, **overrides):
+        _, base, _ = command_files
+        cfg_path = write_config(tmp_path / "cfg.txt", **{**base, **overrides})
+        return cli_main(["--config", str(cfg_path), *argv])
+
+    def test_equity_futures_without_dividends(self, command_files, tmp_path, no_training):
+        code = self._exit_code(
+            command_files, tmp_path, ["price-equity-futures", "--t0", repr(10 / 252)],
+            data__dividends="",
+        )
+        assert (code, no_training) == (1, [])
+
+    def test_commodity_without_quotes(self, command_files, tmp_path, no_training):
+        code = self._exit_code(
+            command_files, tmp_path, ["price-commodity", "--t0", repr(10 / 252)],
+            data__quotes="",
+        )
+        assert (code, no_training) == (1, [])
+
+    def test_commodity_with_too_few_quotes(self, command_files, tmp_path, no_training):
+        # 20 quotes, N3+1 = 21 needed
+        code = self._exit_code(
+            command_files, tmp_path, ["price-commodity", "--t0", repr(10 / 252)],
+            model__N3="20",
+        )
+        assert (code, no_training) == (1, [])
+
+    def test_generate_count_beyond_retained_set(self, command_files, tmp_path, no_training):
+        # N2=64 at alpha 0.8 retains 13 tracks
+        code = self._exit_code(
+            command_files, tmp_path,
+            ["--out", str(tmp_path / "tracks.csv"), "generate", "--count", "14"],
+        )
+        assert (code, no_training) == (1, [])

@@ -5,8 +5,6 @@ import pytest
 
 from ganmc.futures import (
     CarryEstimate,
-    CommodityForwardContract,
-    EquityFuturesContract,
     estimate_carry,
     fit_dividends,
     predict_dividend,
@@ -162,14 +160,3 @@ class TestPriceCommodity:
         assert slope == pytest.approx(math.exp(0.05 * 0.25), rel=1e-12)
         assert prices[2] - prices[1] == pytest.approx(slope, rel=1e-12)
 
-
-class TestContracts:
-    def test_equity_contract_validation(self):
-        ds = make_dividends([1.0, 1.0])
-        with pytest.raises(PricingError):
-            EquityFuturesContract(underlying="SYM", t0_years=0.0, dividends=ds)
-
-    def test_commodity_contract_needs_enough_quotes(self):
-        quotes = make_quotes([100.0], [99.0])
-        with pytest.raises(PricingError, match="N3"):
-            CommodityForwardContract(underlying="CU", t0_years=0.25, quotes=quotes, n3=3)

@@ -4,7 +4,6 @@ import pytest
 
 from ganmc.market_data import (
     MarketDataError,
-    MarketParams,
     load_dividends,
     load_price_series,
     load_quotes,
@@ -110,8 +109,3 @@ class TestLoadQuotes:
         with pytest.raises(MarketDataError, match="non-positive last"):
             load_quotes(path, "FUT1")
 
-
-def test_market_params_validates_dt():
-    assert MarketParams(r=0.05).dt == pytest.approx(1 / 252)
-    with pytest.raises(MarketDataError):
-        MarketParams(r=0.05, dt=0.0)

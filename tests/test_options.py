@@ -7,13 +7,11 @@ from ganmc.options import (
     OptionContract,
     PricingError,
     discount_factor,
-    empirical_variance,
     payoff_index,
-    price_american,
-    price_european_call,
-    price_european_put,
     price_option,
 )
+
+from conftest import empirical_variance, priced
 
 DT = 1 / 252
 
@@ -42,18 +40,18 @@ class TestPayoffIndex:
 class TestEuropeanCall:
     def test_single_track_unit_payoff_r0(self):
         tracks = tracks_with_terminals([101.0])
-        price = price_european_call(tracks, 100.0, 0.0, 4 * DT, DT)
+        price = priced("call", "european", tracks, 100.0, 0.0, 4 * DT, DT)
         assert price.value == pytest.approx(1.0)
         assert price.lower == price.upper == price.value
 
     def test_all_below_strike_zero(self):
         tracks = tracks_with_terminals([90.0, 99.9, 100.0])
-        assert price_european_call(tracks, 100.0, 0.0, 4 * DT, DT).value == 0.0
+        assert priced("call", "european", tracks, 100.0, 0.0, 4 * DT, DT).value == 0.0
 
     def test_discounted_mean_of_two_payoffs(self):
         # payoffs 0 and 10, r=0.05, T0=126 days
         tracks = tracks_with_terminals([100.0, 110.0], T=130, k=126)
-        price = price_european_call(tracks, 100.0, 0.05, 126 / 252, DT)
+        price = priced("call", "european", tracks, 100.0, 0.05, 126 / 252, DT)
         expected = 5.0 * (1 + 0.05 / 252) ** (-126)
         assert price.value == pytest.approx(expected, rel=1e-12)
 
@@ -61,26 +59,26 @@ class TestEuropeanCall:
 class TestEuropeanPut:
     def test_single_track(self):
         tracks = tracks_with_terminals([98.0])
-        assert price_european_put(tracks, 100.0, 0.0, 4 * DT, DT).value == pytest.approx(2.0)
+        assert priced("put", "european", tracks, 100.0, 0.0, 4 * DT, DT).value == pytest.approx(2.0)
 
     def test_all_above_strike_zero(self):
         tracks = tracks_with_terminals([101.0, 150.0])
-        assert price_european_put(tracks, 100.0, 0.0, 4 * DT, DT).value == 0.0
+        assert priced("put", "european", tracks, 100.0, 0.0, 4 * DT, DT).value == 0.0
 
     def test_mean_of_mixed_payoffs_r0(self):
         tracks = tracks_with_terminals([97.0, 101.0, 102.0])
-        assert price_european_put(tracks, 100.0, 0.0, 4 * DT, DT).value == pytest.approx(1.0)
+        assert priced("put", "european", tracks, 100.0, 0.0, 4 * DT, DT).value == pytest.approx(1.0)
 
 
 class TestAmerican:
     def test_r0_bounds_coincide(self):
         tracks = tracks_with_terminals([105.0, 95.0])
-        price = price_american("call", tracks, 100.0, 0.0, 4 * DT, DT)
+        price = priced("call", "american", tracks, 100.0, 0.0, 4 * DT, DT)
         assert price.lower == price.value == price.upper
 
     def test_midpoint_formula(self):
         tracks = tracks_with_terminals([110.0] * 3, T=130, k=126)
-        price = price_american("call", tracks, 100.0, 0.05, 0.5, DT)
+        price = priced("call", "american", tracks, 100.0, 0.05, 0.5, DT)
         m = 10.0
         expected = m * (1 + (1 + 0.05 / 252) ** (-126)) / 2
         assert price.value == pytest.approx(expected, rel=1e-12)
@@ -88,7 +86,7 @@ class TestAmerican:
 
     def test_all_zero_payoffs(self):
         tracks = tracks_with_terminals([90.0, 80.0])
-        price = price_american("call", tracks, 100.0, 0.05, 4 * DT, DT)
+        price = priced("call", "american", tracks, 100.0, 0.05, 4 * DT, DT)
         assert price.value == price.lower == price.upper == 0.0
 
 
@@ -99,8 +97,8 @@ class TestInvariants:
         rng = np.random.default_rng(seed)
         tracks = tracks_with_terminals(rng.uniform(50, 150, 20))
         strikes = np.sort(rng.uniform(60, 140, 5))
-        calls = [price_european_call(tracks, x, 0.02, 4 * DT, DT).value for x in strikes]
-        puts = [price_european_put(tracks, x, 0.02, 4 * DT, DT).value for x in strikes]
+        calls = [priced("call", "european", tracks, x, 0.02, 4 * DT, DT).value for x in strikes]
+        puts = [priced("put", "european", tracks, x, 0.02, 4 * DT, DT).value for x in strikes]
         assert all(a >= b - 1e-12 for a, b in zip(calls, calls[1:]))
         assert all(a <= b + 1e-12 for a, b in zip(puts, puts[1:]))
 
@@ -111,15 +109,15 @@ class TestInvariants:
         terminals = rng.uniform(50, 150, 30)
         tracks = tracks_with_terminals(terminals)
         strike = float(rng.uniform(60, 140))
-        call = price_european_call(tracks, strike, 0.0, 4 * DT, DT).value
-        put = price_european_put(tracks, strike, 0.0, 4 * DT, DT).value
+        call = priced("call", "european", tracks, strike, 0.0, 4 * DT, DT).value
+        put = priced("put", "european", tracks, strike, 0.0, 4 * DT, DT).value
         assert call - put == pytest.approx(terminals.mean() - strike, rel=1e-10, abs=1e-10)
 
     def test_discount_factor_scaling(self):
         tracks = tracks_with_terminals([120.0, 80.0, 105.0])
-        base = price_european_call(tracks, 100.0, 0.0, 4 * DT, DT).value
-        priced = price_european_call(tracks, 100.0, 0.07, 4 * DT, DT).value
-        assert priced == pytest.approx(base * discount_factor(0.07, 4 * DT, DT), rel=1e-12)
+        base = priced("call", "european", tracks, 100.0, 0.0, 4 * DT, DT).value
+        discounted = priced("call", "european", tracks, 100.0, 0.07, 4 * DT, DT).value
+        assert discounted == pytest.approx(base * discount_factor(0.07, 4 * DT, DT), rel=1e-12)
 
 
 class TestContractValidation:
@@ -144,7 +142,7 @@ class TestEmpiricalVariance:
             return np.full((n2, 4), 100.0)
 
         def pricer(tracks):
-            return price_european_call(tracks, 90.0, 0.0, 4 * DT, DT).value
+            return priced("call", "european", tracks, 90.0, 0.0, 4 * DT, DT).value
 
         table = empirical_variance(sampler, pricer, np.full(4, 100.0), 0.8, 5, [8, 16])
         assert all(v == 0.0 for _, v in table)
@@ -163,7 +161,7 @@ class TestEmpiricalVariance:
             return 100.0 * np.exp(0.1 * rng.standard_normal((n2, 8)))
 
         def pricer(tracks):
-            return price_european_call(tracks, 100.0, 0.05, 8 / 252, 1 / 252).value
+            return priced("call", "european", tracks, 100.0, 0.05, 8 / 252, 1 / 252).value
 
         table = dict(empirical_variance(sampler, pricer, reference, 0.8, 200, [64, 256]))
         assert table[256] <= 1.1 * table[64]

@@ -61,8 +61,10 @@ class TestRankAndSelect:
         ref = rng.uniform(50, 150, 4)
         ranking = rank_and_select(tracks, ref, 0.8)
         assert len(ranking.selected) == 3
-        scores = ranking.scores[ranking.order]
+        scores = ranking.scores[ranking.selected]
         assert np.all(np.diff(scores) >= 0)
+        dropped = np.delete(ranking.scores, ranking.selected)
+        assert scores.min() >= dropped.max()
 
     def test_scores_match_elementwise_formula(self, rng):
         tracks = rng.uniform(0.5, 50.0, (40, 7))
@@ -81,8 +83,8 @@ class TestRankAndSelect:
         ref = np.array([1.0, 2.0, 3.0])
         tracks = np.tile(ref, (5, 1))
         ranking = rank_and_select(tracks, ref, 0.5)
-        # ceil(0.5*5)=3 -> keep 3; stable sort leaves identity order
-        np.testing.assert_array_equal(ranking.order, [0, 1, 2, 3, 4])
+        # ceil(0.5*5)=3 -> keep 3; the stable sort leaves identity order,
+        # so the retained tail is the last indices in ascending order
         np.testing.assert_array_equal(ranking.selected, [2, 3, 4])
 
     def test_single_track(self):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from ganmc.windowing import (
     NoViableStrideError,
     WindowingError,
-    covariance_rank,
     partition,
     search_stride,
 )
@@ -72,49 +71,6 @@ class TestPartition:
         src = np.arange(100.0)
         counts = [len(partition(src, d, 10)) for d in range(1, 11)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-
-class TestCovarianceRank:
-    def test_identical_windows_rank_zero(self):
-        windows = np.tile(np.array([1.0, 2.0, 3.0]), (5, 1))
-        ws = partition(np.arange(1.0, 8.0), 1, 3)
-        ws = type(ws)(windows=windows, d=1, T=3, n=7)
-        assert covariance_rank(ws) == 0
-
-    def test_full_rank_sample(self, rng):
-        T = 5
-        windows = rng.uniform(1.0, 10.0, (50, T))
-        ws = _make_ws(windows)
-        rank = covariance_rank(ws)
-        # independent eigen-decomposition oracle
-        centered = windows - windows.mean(axis=0)
-        eig = np.linalg.eigvalsh(centered.T @ centered / 49)
-        oracle = int(np.sum(eig > 1e-8 * eig.max()))
-        assert rank == oracle == T
-
-    def test_rank_one_for_scalar_multiples(self, rng):
-        v = np.array([1.0, 2.0, 3.0, 4.0])
-        coeffs = rng.uniform(0.5, 2.0, 20)
-        windows = np.outer(coeffs, v)
-        assert covariance_rank(_make_ws(windows)) == 1
-
-    def test_invariant_under_constant_shift(self, rng):
-        windows = rng.uniform(1.0, 10.0, (12, 6))
-        shift = rng.uniform(-5.0, 5.0, 6)
-        assert covariance_rank(_make_ws(windows)) == covariance_rank(
-            _make_ws(windows + shift)
-        )
-
-    def test_needs_two_windows(self):
-        with pytest.raises(WindowingError):
-            covariance_rank(_make_ws(np.ones((1, 4))))
-
-
-def _make_ws(windows):
-    from ganmc.windowing import WindowSet
-
-    count, T = windows.shape
-    return WindowSet(windows=windows, d=1, T=T, n=count + T - 1)
 
 
 class TestSearchStride:
