@@ -19,17 +19,14 @@ from .options import PricingError, price_terminals
 
 @dataclass(frozen=True)
 class LinearPricer:
-    """Affine pricer over (s/X, tau) for options or (s, tau) for futures."""
+    """Affine option pricer over (s/X, tau)."""
 
-    coefficients: np.ndarray  # (intercept, per-feature...)
+    coefficients: np.ndarray  # (intercept, s/X, tau)
     regime: str  # "all" | "itm" | "otm"
-    kind: str  # "option" | "futures"
 
     def __post_init__(self):
         if self.regime not in ("all", "itm", "otm"):
             raise PricingError(f"unknown regime {self.regime!r}")
-        if self.kind not in ("option", "futures"):
-            raise PricingError(f"unknown pricer kind {self.kind!r}")
         if not np.all(np.isfinite(self.coefficients)):
             raise PricingError("non-finite regression coefficients")
 
@@ -106,24 +103,17 @@ def _option_in_regime(moneyness: float, side: str, regime: str) -> bool:
     return itm if regime == "itm" else not itm
 
 
-def fit_linear_pricer(rows, regime: str = "all", kind: str = "option") -> LinearPricer:
-    """OLS fit of observed prices on (1, s/X, tau) or (1, s, tau).
+def fit_linear_pricer(rows, regime: str = "all") -> LinearPricer:
+    """OLS fit of observed option prices on (1, s/X, tau).
 
-    Option rows are (spot, strike, tau, side, price); futures rows are
-    (spot, tau, price). The regime filter (ITM/OTM by moneyness and
-    side) applies to option rows only.
+    Rows are (spot, strike, tau, side, price); the regime filter keeps
+    the ITM or OTM rows by moneyness and side.
     """
     features, targets = [], []
-    for row in rows:
-        if kind == "option":
-            spot, strike, tau, side, price = row
-            if not _option_in_regime(spot / strike, side, regime):
-                continue
+    for spot, strike, tau, side, price in rows:
+        if _option_in_regime(spot / strike, side, regime):
             features.append([1.0, spot / strike, tau])
-        else:
-            spot, tau, price = row
-            features.append([1.0, spot, tau])
-        targets.append(price)
+            targets.append(price)
     if not features:
         raise PricingError(f"no rows left in regime {regime!r}")
     design = np.asarray(features, dtype=float)
@@ -135,19 +125,14 @@ def fit_linear_pricer(rows, regime: str = "all", kind: str = "option") -> Linear
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise PricingError("rank-deficient design matrix")
     coefficients, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return LinearPricer(coefficients=coefficients, regime=regime, kind=kind)
+    return LinearPricer(coefficients=coefficients, regime=regime)
 
 
 def lr_price(pricer: LinearPricer, row) -> float:
     """Predict one contract's price; the row must match the fitted regime."""
-    if pricer.kind == "option":
-        spot, strike, tau, side = row
-        if not _option_in_regime(spot / strike, side, pricer.regime):
-            raise PricingError(
-                f"contract with moneyness {spot / strike:.4f} is outside regime {pricer.regime!r}"
-            )
-        features = np.array([1.0, spot / strike, tau])
-    else:
-        spot, tau = row
-        features = np.array([1.0, spot, tau])
-    return float(features @ pricer.coefficients)
+    spot, strike, tau, side = row
+    if not _option_in_regime(spot / strike, side, pricer.regime):
+        raise PricingError(
+            f"contract with moneyness {spot / strike:.4f} is outside regime {pricer.regime!r}"
+        )
+    return float(np.array([1.0, spot / strike, tau]) @ pricer.coefficients)

@@ -91,8 +91,7 @@ def _run(args) -> int:
 
     if args.command == "price-option":
         contract = OptionContract(
-            side=args.side, style=args.style, strike=args.strike,
-            t0_years=args.t0, underlying=cfg.symbol,
+            side=args.side, style=args.style, strike=args.strike, t0_years=args.t0
         )
         print(f"{price_option_pipeline(cfg, contract):.6f}")
         return 0

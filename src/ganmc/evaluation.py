@@ -28,9 +28,12 @@ from .futures import (
 from .gan import GanConfig, GanError, GanModel, TrainReport, load_checkpoint, sample, train
 from .market_data import (
     DEFAULT_DT,
+    MarketDataError,
+    PriceSeries,
     load_dividends,
     load_price_series,
     load_quotes,
+    read_rows,
 )
 from .options import OptionContract, PricingError, payoff_index, price_option
 from .similarity import rank_and_select, retained_count
@@ -193,37 +196,17 @@ class ContractRow:
 
 def load_contracts(path) -> list[ContractRow]:
     """Load an option-contract fixture CSV: side,style,strike,t0_years,sigma,actual."""
-    expected = ["side", "style", "strike", "t0_years", "sigma", "actual"]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    header = ["side", "style", "strike", "t0_years", "sigma", "actual"]
+    contracts = []
+    for i, (side, style, *numbers) in read_rows(path, header):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty contracts file") from None
-        if [h.strip() for h in header] != expected:
-            raise ConfigError(f"{path}: expected header {','.join(expected)}")
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 6:
-                raise ConfigError(f"{path}: expected 6 columns at row {i}")
-            try:
-                rows.append(
-                    ContractRow(
-                        side=row[0].strip(),
-                        style=row[1].strip(),
-                        strike=float(row[2]),
-                        t0_years=float(row[3]),
-                        sigma=float(row[4]),
-                        actual=float(row[5]),
-                    )
-                )
-            except ValueError:
-                raise ConfigError(f"{path}: bad numeric value at row {i}") from None
-    if not rows:
-        raise ConfigError(f"{path}: no contracts")
-    return rows
+            strike, t0_years, sigma, actual = map(float, numbers)
+        except ValueError:
+            raise MarketDataError(f"{path}: bad numeric value at row {i}") from None
+        contracts.append(
+            ContractRow(side.strip(), style.strip(), strike, t0_years, sigma, actual)
+        )
+    return contracts
 
 
 def mape(predicted, actual) -> float:
@@ -274,8 +257,6 @@ class TrainedPipeline:
     report: TrainReport
     d: int
     reference: np.ndarray  # last T observed prices
-    spot: float
-    n_obs: int
 
 
 def train_gan(cfg: ExperimentConfig, prices: np.ndarray) -> TrainedPipeline:
@@ -305,7 +286,6 @@ def train_gan(cfg: ExperimentConfig, prices: np.ndarray) -> TrainedPipeline:
 
     d, _ = search_stride(prices, cfg.T, cfg.n1, probe)
     model, report = run
-    report.d_used = d
     if report.collapsed:
         raise CollapseError(f"training collapsed at stride d={d}: {report.collapse_reason}")
     return TrainedPipeline(
@@ -313,8 +293,6 @@ def train_gan(cfg: ExperimentConfig, prices: np.ndarray) -> TrainedPipeline:
         report=report,
         d=d,
         reference=prices[-cfg.T :],
-        spot=float(prices[-1]),
-        n_obs=prices.shape[0],
     )
 
 
@@ -332,8 +310,6 @@ def obtain_model(cfg: ExperimentConfig, prices: np.ndarray) -> TrainedPipeline:
             report=TrainReport(),
             d=0,
             reference=prices[-cfg.T :],
-            spot=float(prices[-1]),
-            n_obs=prices.shape[0],
         )
     return train_gan(cfg, prices)
 
@@ -352,15 +328,16 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def _load_prices(cfg: ExperimentConfig) -> np.ndarray:
-    series = _stage("market_data", load_price_series, cfg.prices_path, cfg.symbol)
-    return np.asarray(series.prices, dtype=float)
+def _load_prices(cfg: ExperimentConfig) -> PriceSeries:
+    return _stage("market_data", load_price_series, cfg.prices_path, cfg.symbol)
 
 
-def _retained(cfg: ExperimentConfig) -> tuple[TrainedPipeline, np.ndarray]:
+def _retained(cfg: ExperimentConfig) -> tuple[PriceSeries, np.ndarray]:
     """Load the history, obtain the model, and keep the most similar of N2 tracks."""
-    pipe = _stage("gan_core", obtain_model, cfg, _load_prices(cfg))
-    return pipe, _stage("similarity", selected_tracks, pipe, cfg)
+    series = _load_prices(cfg)
+    prices = np.asarray(series.prices, dtype=float)
+    pipe = _stage("gan_core", obtain_model, cfg, prices)
+    return series, _stage("similarity", selected_tracks, pipe, cfg)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
@@ -368,10 +345,10 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     started = time.monotonic()
     contracts = _stage("market_data", load_contracts, cfg.contracts_path)
     if cfg.model == "gan-mc":
-        pipe, tracks = _retained(cfg)
-        spot = pipe.spot
+        series, tracks = _retained(cfg)
     else:
-        spot = float(_load_prices(cfg)[-1])
+        series = _load_prices(cfg)
+    spot = series.prices[-1]
 
     if cfg.model.startswith("lr"):
         split = cfg.lr_train_rows
@@ -384,7 +361,7 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
         train_rows = [
             (spot, c.strike, c.t0_years, c.side, c.actual) for c in contracts[:split]
         ]
-        pricer = _stage("baselines", fit_linear_pricer, train_rows, regime, "option")
+        pricer = _stage("baselines", fit_linear_pricer, train_rows, regime)
         test = contracts[split:]
     else:
         test = contracts
@@ -413,8 +390,7 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
             )
         elif cfg.model == "gan-mc":
             contract = OptionContract(
-                side=c.side, style=c.style, strike=c.strike, t0_years=c.t0_years,
-                underlying=cfg.symbol,
+                side=c.side, style=c.style, strike=c.strike, t0_years=c.t0_years
             )
             predicted = _stage(
                 "pricing_options", price_option, contract, tracks, cfg.r, cfg.dt
@@ -480,18 +456,22 @@ def generate_tracks_csv(cfg: ExperimentConfig, count: int, out_path: str) -> Non
 
 
 def price_equity_futures_pipeline(cfg: ExperimentConfig, t0_years: float) -> float:
-    """End-to-end equity futures price: train/sample/filter plus dividend fit."""
+    """End-to-end equity futures price: train/sample/filter plus dividend fit.
+
+    The dividend trend is read T0/dt business days after the last price date.
+    """
     if not cfg.dividends_path:
         raise ConfigError("equity futures pricing needs [data] dividends")
     dividends = _stage("market_data", load_dividends, cfg.dividends_path, cfg.symbol)
     fit = _stage("pricing_futures", fit_dividends, dividends)
     k = payoff_index(t0_years, cfg.dt, cfg.T)
-    pipe, tracks = _retained(cfg)
-    forecast = predict_dividend(fit, (pipe.n_obs - 1) + k)
+    series, tracks = _retained(cfg)
+    t_star = int(np.busday_count(dividends.origin, series.dates[-1])) + k
+    forecast = predict_dividend(fit, t_star)
     return _stage(
         "pricing_futures",
         price_equity_futures,
-        pipe.spot,
+        series.prices[-1],
         tracks,
         forecast,
         cfg.r,

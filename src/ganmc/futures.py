@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .market_data import DividendSeries, QuoteSeries
-from .options import PricingError, payoff_index
+from .options import PricingError, terminal_values
 
 
 @dataclass(frozen=True)
 class DividendFit:
-    """OLS line through (trading-day ordinal, annual dividend per share)."""
+    """OLS line through (business-day ordinal, annual dividend per share)."""
 
     slope: float
     intercept: float
@@ -77,13 +77,9 @@ def price_equity_futures(
     dt: float,
 ) -> float:
     """spot * exp{(r - mean dividend yield over tracks) * T0}."""
-    mat = np.asarray(tracks, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] < 1:
-        raise PricingError("need at least one track")
+    terminal = terminal_values(tracks, t0_years, dt)
     if not (spot > 0):
         raise PricingError(f"spot must be positive, got {spot}")
-    k = payoff_index(t0_years, dt, mat.shape[1])
-    terminal = mat[:, k - 1]
     if np.any(terminal <= 0):
         raise PricingError("non-positive generated price at the delivery index")
     mean_yield = float((dividend_forecast / terminal).mean())
@@ -110,8 +106,5 @@ def price_commodity(
     dt: float,
 ) -> float:
     """Mean generated delivery-date price plus the compounded carry."""
-    mat = np.asarray(tracks, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] < 1:
-        raise PricingError("need at least one track")
-    k = payoff_index(t0_years, dt, mat.shape[1])
-    return float(mat[:, k - 1].mean() + carry.value * math.exp(r * t0_years))
+    terminal = terminal_values(tracks, t0_years, dt)
+    return float(terminal.mean() + carry.value * math.exp(r * t0_years))

@@ -440,7 +440,6 @@ class TrainReport:
     collapsed: bool = False
     collapse_reason: str | None = None
     epochs_run: int = 0
-    d_used: int | None = None
 
 
 def detect_collapse(

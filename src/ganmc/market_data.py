@@ -1,8 +1,11 @@
-"""CSV loaders for price, dividend and derivative-quote histories.
+"""The CSV reader for every input file: the price, dividend and quote
+histories here, and the contract fixture through `read_rows`.
 
-Files use ISO-8601 dates; after loading, observations are indexed by
-trading-day ordinal (0-based position in date order). Holidays and
-weekends are simply absent rows.
+History files use ISO-8601 dates and may list rows in any order. Prices
+and quotes are indexed by their position in date order, so holidays and
+weekends are simply absent rows. Dividends are indexed by business days
+(Monday to Friday) from the first dividend date, so a sparse file, such
+as one row a quarter, keeps its spacing.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 from dataclasses import dataclass
+
+import numpy as np
 
 TRADING_DAYS_PER_YEAR = 252
 DEFAULT_DT = 1.0 / TRADING_DAYS_PER_YEAR
@@ -45,9 +50,10 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class DividendSeries:
-    """Trailing annual dividend per share, indexed by trading-day ordinal."""
+    """Trailing annual dividend per share, indexed by business days from `origin`."""
 
     symbol: str
+    origin: _dt.date
     indices: tuple[int, ...]
     dps: tuple[float, ...]
 
@@ -98,121 +104,91 @@ class QuoteSeries:
         return len(self.last)
 
 
-def _read_rows(path, expected_header: list[str]) -> list[list[str]]:
+def read_rows(path, header: list[str]) -> list[tuple[int, list[str]]]:
+    """The non-blank rows of a CSV with the given header, each with its file row number.
+
+    Every row must have one cell per header column.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            first = next(reader)
         except StopIteration:
             raise MarketDataError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected_header:
+        if [h.strip() for h in first] != header:
             raise MarketDataError(
-                f"{path}: expected header {','.join(expected_header)}, got {','.join(header)}"
+                f"{path}: expected header {','.join(header)}, got {','.join(first)}"
             )
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = []
+        for i, row in enumerate(reader, start=2):
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise MarketDataError(f"{path}: expected {len(header)} columns at row {i}")
+            rows.append((i, row))
     if not rows:
         raise MarketDataError(f"{path}: no observations")
     return rows
 
 
-def _parse_date(cell: str, path, row_no: int) -> _dt.date:
-    try:
-        return _dt.date.fromisoformat(cell.strip())
-    except ValueError:
-        raise MarketDataError(f"{path}: bad date {cell!r} at row {row_no}") from None
+# column -> (must be strictly positive, else non-negative; what a bad value is called)
+_COLUMN_RULES = {
+    "price": (True, "non-positive price"),
+    "dps": (False, "negative dps"),
+    "last": (True, "non-positive last price"),
+    "ttd_years": (False, "negative time-to-delivery"),
+    "spot": (True, "non-positive spot"),
+}
 
 
-def _parse_float(cell: str, path, row_no: int, col: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise MarketDataError(f"{path}: bad {col} {cell!r} at row {row_no}") from None
+def _read_dated(path, columns: tuple[str, ...]) -> tuple[tuple, ...]:
+    """Read a `date,<columns>` CSV whose rows may appear in any order.
+
+    Returns the dates in increasing order, then one tuple of values per column.
+    """
+    values = {}
+    for i, row in read_rows(path, ["date", *columns]):
+        try:
+            date = _dt.date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise MarketDataError(f"{path}: bad date {row[0]!r} at row {i}") from None
+        if date in values:
+            raise MarketDataError(f"{path}: duplicate date {date} at row {i}")
+        parsed = []
+        for col, cell in zip(columns, row[1:]):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise MarketDataError(f"{path}: bad {col} {cell!r} at row {i}") from None
+            positive, what = _COLUMN_RULES[col]
+            if (not v > 0) if positive else v < 0:
+                raise MarketDataError(f"{path}: {what} {v} at row {i}")
+            parsed.append(v)
+        values[date] = parsed
+    dates = sorted(values)
+    return (tuple(dates), *zip(*(values[d] for d in dates)))
 
 
 def load_price_series(path, symbol: str) -> PriceSeries:
     """Load a `date,price` CSV; rows may appear in any order."""
-    rows = _read_rows(path, ["date", "price"])
-    parsed = []
-    seen = set()
-    for i, row in enumerate(rows, start=2):
-        if len(row) != 2:
-            raise MarketDataError(f"{path}: expected 2 columns at row {i}")
-        date = _parse_date(row[0], path, i)
-        if date in seen:
-            raise MarketDataError(f"{path}: duplicate date {date} at row {i}")
-        seen.add(date)
-        price = _parse_float(row[1], path, i, "price")
-        if not (price > 0):
-            raise MarketDataError(f"{path}: non-positive price {price} at row {i}")
-        parsed.append((date, price))
-    parsed.sort(key=lambda dp: dp[0])
-    return PriceSeries(
-        symbol=symbol,
-        dates=tuple(d for d, _ in parsed),
-        prices=tuple(p for _, p in parsed),
-    )
+    dates, prices = _read_dated(path, ("price",))
+    return PriceSeries(symbol=symbol, dates=dates, prices=prices)
 
 
 def load_dividends(path, symbol: str) -> DividendSeries:
-    """Load a `date,dps` CSV; indices become trading-day ordinals in date order."""
-    rows = _read_rows(path, ["date", "dps"])
-    parsed = []
-    seen = set()
-    for i, row in enumerate(rows, start=2):
-        if len(row) != 2:
-            raise MarketDataError(f"{path}: expected 2 columns at row {i}")
-        date = _parse_date(row[0], path, i)
-        if date in seen:
-            raise MarketDataError(f"{path}: duplicate date {date} at row {i}")
-        seen.add(date)
-        dps = _parse_float(row[1], path, i, "dps")
-        if dps < 0:
-            raise MarketDataError(f"{path}: negative dps {dps} at row {i}")
-        parsed.append((date, dps))
-    parsed.sort(key=lambda dp: dp[0])
-    return DividendSeries(
-        symbol=symbol,
-        indices=tuple(range(len(parsed))),
-        dps=tuple(d for _, d in parsed),
-    )
+    """Load a `date,dps` CSV; each index counts business days from the first date.
+
+    A weekend date counts as the business day after it, so it may not share
+    a file with that day.
+    """
+    dates, dps = _read_dated(path, ("dps",))
+    indices = tuple(np.busday_count(dates[0], dates).tolist())
+    return DividendSeries(symbol=symbol, origin=dates[0], indices=indices, dps=dps)
 
 
 def load_quotes(path, contract_id: str) -> QuoteSeries:
     """Load a `date,last,ttd_years,spot` CSV of derivative quotes."""
-    rows = _read_rows(path, ["date", "last", "ttd_years", "spot"])
-    parsed = []
-    seen = set()
-    for i, row in enumerate(rows, start=2):
-        if len(row) != 4:
-            raise MarketDataError(f"{path}: expected 4 columns at row {i}")
-        date = _parse_date(row[0], path, i)
-        if date in seen:
-            raise MarketDataError(f"{path}: duplicate date {date} at row {i}")
-        seen.add(date)
-        last = _parse_float(row[1], path, i, "last")
-        ttd = _parse_float(row[2], path, i, "ttd_years")
-        spot = _parse_float(row[3], path, i, "spot")
-        if not (last > 0):
-            raise MarketDataError(f"{path}: non-positive last price {last} at row {i}")
-        if ttd < 0:
-            raise MarketDataError(f"{path}: negative time-to-delivery {ttd} at row {i}")
-        if not (spot > 0):
-            raise MarketDataError(f"{path}: non-positive spot {spot} at row {i}")
-        parsed.append((date, last, ttd, spot))
-    parsed.sort(key=lambda q: q[0])
+    dates, last, ttd_years, spot = _read_dated(path, ("last", "ttd_years", "spot"))
     return QuoteSeries(
-        contract_id=contract_id,
-        dates=tuple(q[0] for q in parsed),
-        last=tuple(q[1] for q in parsed),
-        ttd_years=tuple(q[2] for q in parsed),
-        spot=tuple(q[3] for q in parsed),
+        contract_id=contract_id, dates=dates, last=last, ttd_years=ttd_years, spot=spot
     )
-
-
-def write_price_series(path, series: PriceSeries) -> None:
-    """Inverse of load_price_series (round-trip exact for repr-exact floats)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "price"])
-        for d, p in zip(series.dates, series.prices):
-            writer.writerow([d.isoformat(), repr(p)])

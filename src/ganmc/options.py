@@ -22,7 +22,6 @@ class OptionContract:
     style: str  # "european" | "american"
     strike: float
     t0_years: float
-    underlying: str = ""
 
     def __post_init__(self):
         if self.side not in ("call", "put"):
@@ -40,7 +39,6 @@ class OptionPrice:
     value: float
     lower: float
     upper: float
-    n_samples: int
 
     def __post_init__(self):
         if not (self.lower <= self.value <= self.upper):
@@ -66,7 +64,8 @@ def discount_factor(r: float, t0_years: float, dt: float) -> float:
     return float((1.0 + r * dt) ** (-t0_years / dt))
 
 
-def _terminal_values(tracks, t0_years: float, dt: float) -> np.ndarray:
+def terminal_values(tracks, t0_years: float, dt: float) -> np.ndarray:
+    """Every track's price on the payoff day T0/dt, the one lookup all pricers share."""
     mat = np.asarray(tracks, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1:
         raise PricingError("need at least one track")
@@ -86,17 +85,16 @@ def price_terminals(
     else:
         raise PricingError(f"side must be call or put, got {side!r}")
     lower = discount_factor(r, t0_years, dt) * mean_payoff
-    n = terminal.shape[0]
     if style == "european":
-        return OptionPrice(value=lower, lower=lower, upper=lower, n_samples=n)
+        return OptionPrice(value=lower, lower=lower, upper=lower)
     if style == "american":
         value = 0.5 * (lower + mean_payoff)
-        return OptionPrice(value=value, lower=lower, upper=mean_payoff, n_samples=n)
+        return OptionPrice(value=value, lower=lower, upper=mean_payoff)
     raise PricingError(f"style must be european or american, got {style!r}")
 
 
 def price_option(contract: OptionContract, tracks, r: float, dt: float) -> OptionPrice:
-    terminal = _terminal_values(tracks, contract.t0_years, dt)
+    terminal = terminal_values(tracks, contract.t0_years, dt)
     return price_terminals(
         contract.side, contract.style, terminal, contract.strike, r, contract.t0_years, dt
     )

@@ -34,7 +34,6 @@ class WindowSet:
     d: int
     T: int
     n: int
-    n1: int | None = None
 
     def __post_init__(self):
         expected = (self.n - self.T) // self.d + 1
@@ -88,5 +87,5 @@ def search_stride(
         if train_probe(ws):
             diagnostics[d] = "probe collapsed"
             continue
-        return d, WindowSet(windows=ws.windows, d=d, T=T, n=ws.n, n1=n1)
+        return d, ws
     raise NoViableStrideError(diagnostics)

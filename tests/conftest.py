@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 
 import numpy as np
@@ -23,6 +24,15 @@ def write_price_csv(path, prices, dates=None):
     lines = ["date,price"] + [f"{d.isoformat()},{p}" for d, p in zip(dates, prices)]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_price_series(path, series):
+    """Inverse of load_price_series (round-trip exact for repr-exact floats)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "price"])
+        for d, p in zip(series.dates, series.prices):
+            writer.writerow([d.isoformat(), repr(p)])
 
 
 def write_dividend_csv(path, dps, dates=None):

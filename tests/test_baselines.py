@@ -107,7 +107,7 @@ class TestLinearPricer:
             spot, strike, tau = rng.uniform(80, 120), rng.uniform(80, 120), rng.uniform(0.1, 1.0)
             price = 2.0 + 3.0 * spot / strike - 1.5 * tau
             rows.append((spot, strike, tau, "call", price))
-        pricer = fit_linear_pricer(rows, "all", "option")
+        pricer = fit_linear_pricer(rows, "all")
         np.testing.assert_allclose(pricer.coefficients, [2.0, 3.0, -1.5], rtol=1e-8)
         predicted = lr_price(pricer, (100.0, 90.0, 0.5, "call"))
         assert predicted == pytest.approx(2.0 + 3.0 * 100 / 90 - 1.5 * 0.5, rel=1e-8)
@@ -118,7 +118,7 @@ class TestLinearPricer:
             for _ in range(50)
         ]
         expected = [r for r in rows if r[0] / r[1] > 1.0]
-        pricer = fit_linear_pricer(rows, "itm", "option")
+        pricer = fit_linear_pricer(rows, "itm")
         design = np.array([[1.0, r[0] / r[1], r[2]] for r in expected])
         y = np.array([r[4] for r in expected])
         beta = np.linalg.solve(design.T @ design, design.T @ y)
@@ -127,20 +127,15 @@ class TestLinearPricer:
     def test_underdetermined_rejected(self):
         rows = [(100.0, 90.0, 0.5, "call", 12.0), (110.0, 90.0, 0.5, "call", 21.0)]
         with pytest.raises(PricingError, match="underdetermined"):
-            fit_linear_pricer(rows, "all", "option")
+            fit_linear_pricer(rows, "all")
 
     def test_regime_mismatch_on_predict(self):
         rows = [
             (110.0 + i * i, 100.0, 0.5 + 0.1 * i, "call", 10.0 + i) for i in range(5)
         ]
-        pricer = fit_linear_pricer(rows, "itm", "option")
+        pricer = fit_linear_pricer(rows, "itm")
         with pytest.raises(PricingError, match="outside regime"):
             lr_price(pricer, (90.0, 100.0, 0.5, "call"))
-
-    def test_futures_kind(self, rng):
-        rows = [(s, t, 1.0 + 2.0 * s + 3.0 * t) for s, t in rng.uniform(1, 10, (20, 2))]
-        pricer = fit_linear_pricer(rows, "all", "futures")
-        np.testing.assert_allclose(pricer.coefficients, [1.0, 2.0, 3.0], rtol=1e-8)
 
     def test_fit_matches_normal_equations_oracle(self, rng):
         rows = [
@@ -148,7 +143,7 @@ class TestLinearPricer:
              rng.uniform(0.5, 30.0))
             for _ in range(1000)
         ]
-        pricer = fit_linear_pricer(rows, "all", "option")
+        pricer = fit_linear_pricer(rows, "all")
         design = np.array([[1.0, r[0] / r[1], r[2]] for r in rows])
         y = np.array([r[4] for r in rows])
         beta = np.linalg.solve(design.T @ design, design.T @ y)

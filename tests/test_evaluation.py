@@ -29,11 +29,11 @@ from ganmc.futures import (
     price_equity_futures,
 )
 from ganmc.gan import TrainReport, save_checkpoint, train
-from ganmc.market_data import load_dividends, load_price_series, load_quotes
+from ganmc.market_data import MarketDataError, load_dividends, load_price_series, load_quotes
 from ganmc.windowing import partition
 from ganmc.options import OptionContract, PricingError, price_option
 
-from conftest import gbm_prices, write_dividend_csv, write_price_csv, write_quote_csv
+from conftest import gbm_prices, iso_dates, write_dividend_csv, write_price_csv, write_quote_csv
 
 
 def write_contracts(path, rows):
@@ -317,7 +317,7 @@ class TestContractsLoader:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ConfigError, match="expected header"):
+        with pytest.raises(MarketDataError, match="expected header"):
             load_contracts(path)
 
     def test_loads_rows(self, tmp_path):
@@ -350,6 +350,17 @@ class TestCli:
         )
         code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "r.csv"), "evaluate"])
         assert code == 2  # missing file surfaces as an OS error at runtime
+
+    def test_bad_contracts_file_exit_one_at_market_data(self, fixture_files, tmp_path, capsys):
+        _, prices_path, _, _, _ = fixture_files
+        contracts_path = tmp_path / "bad.csv"
+        contracts_path.write_text("a,b,c\n1,2,3\n")
+        cfg_path = write_config(
+            tmp_path / "cfg.txt", data__prices=prices_path, contracts__file=contracts_path,
+        )
+        code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "r.csv"), "evaluate"])
+        assert code == 1
+        assert "[market_data]" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_one(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"
@@ -427,6 +438,27 @@ class TestPriceCommands:
         expected = price_equity_futures(prices[-1], tracks, forecast, cfg.r, self.T0, cfg.dt)
         printed = self._printed(capsys, cfg_path, "price-equity-futures", "--t0", repr(self.T0))
         assert printed == f"{expected:.6f}"
+
+    def test_quarterly_dividends_are_read_on_business_days(self, command_files, tmp_path, capsys):
+        # 8 dividends on every 63rd weekday from the first price date, rising
+        # 0.1 a quarter; the forecast is 499 + 10 business days after the first
+        _, base, checkpoint = command_files
+        days = iso_dates(500)
+        prices_path = write_price_csv(tmp_path / "prices.csv", gbm_prices(500, seed=3).tolist(), days)
+        dividends_path = write_dividend_csv(
+            tmp_path / "dividends.csv", [1.0 + 0.1 * i for i in range(8)], days[::63][:8]
+        )
+        cfg_path = write_config(
+            tmp_path / "cfg.txt", gan__checkpoint=checkpoint,
+            **{**base, "data__prices": prices_path, "data__dividends": dividends_path},
+        )
+        cfg = parse_config(cfg_path)
+        prices = np.asarray(load_price_series(cfg.prices_path, cfg.symbol).prices)
+        tracks = selected_tracks(obtain_model(cfg, prices), cfg)
+        forecast = 1.0 + 0.1 * 509 / 63
+        expected = price_equity_futures(prices[-1], tracks, forecast, cfg.r, self.T0, cfg.dt)
+        printed = self._printed(capsys, cfg_path, "price-equity-futures", "--t0", repr(self.T0))
+        assert float(printed) == pytest.approx(expected, abs=1e-6)
 
     def test_price_commodity(self, setup, capsys):
         cfg_path, cfg, _, tracks = setup

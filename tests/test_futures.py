@@ -21,7 +21,8 @@ DT = 1 / 252
 
 def make_dividends(dps, indices=None):
     indices = indices if indices is not None else tuple(range(len(dps)))
-    return DividendSeries(symbol="SYM", indices=tuple(indices), dps=tuple(dps))
+    origin = iso_dates(1)[0]
+    return DividendSeries(symbol="SYM", origin=origin, indices=tuple(indices), dps=tuple(dps))
 
 
 def make_quotes(last, spot, ttd=0.25):

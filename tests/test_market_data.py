@@ -2,15 +2,21 @@ import datetime as dt
 
 import pytest
 
+from ganmc.evaluation import load_contracts
 from ganmc.market_data import (
     MarketDataError,
     load_dividends,
     load_price_series,
     load_quotes,
-    write_price_series,
 )
 
-from conftest import iso_dates, write_dividend_csv, write_price_csv, write_quote_csv
+from conftest import (
+    iso_dates,
+    write_dividend_csv,
+    write_price_csv,
+    write_price_series,
+    write_quote_csv,
+)
 
 
 class TestLoadPriceSeries:
@@ -109,3 +115,40 @@ class TestLoadQuotes:
         with pytest.raises(MarketDataError, match="non-positive last"):
             load_quotes(path, "FUT1")
 
+
+# loader, header, two valid rows
+LOADERS = {
+    "prices": (
+        lambda path: load_price_series(path, "SYM"),
+        "date,price",
+        ["2021-01-04,100", "2021-01-05,101"],
+    ),
+    "dividends": (
+        lambda path: load_dividends(path, "SYM"),
+        "date,dps",
+        ["2021-01-04,1.0", "2021-01-05,1.1"],
+    ),
+    "quotes": (
+        lambda path: load_quotes(path, "FUT1"),
+        "date,last,ttd_years,spot",
+        ["2021-01-04,102,0.25,100", "2021-01-05,103,0.25,101"],
+    ),
+    "contracts": (
+        load_contracts,
+        "side,style,strike,t0_years,sigma,actual",
+        ["call,european,100,0.25,0.2,5", "put,american,95,0.5,0.2,3"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_shared_reader_rules(tmp_path, kind):
+    """Every input file skips blank lines and names the file row of a bad column count."""
+    load, header, (first, second) = LOADERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n\n{first}\n , \n{second}\n\n")
+    assert len(load(path)) == 2
+    columns = len(header.split(","))
+    path.write_text(f"{header}\n{first}\n\n{second},1\n")
+    with pytest.raises(MarketDataError, match=f"expected {columns} columns at row 4"):
+        load(path)
