@@ -272,8 +272,8 @@ def train_gan(cfg: ExperimentConfig, prices: np.ndarray) -> TrainedPipeline:
     if cfg.probe_epochs < 1:
         raise GanError(f"probe_epochs must be positive, got {cfg.probe_epochs}")
     probe_epochs = min(cfg.probe_epochs, cfg.epochs)
-    # the trained generator's exp head emits prices in the history's own
-    # unit (gan.train works in standardised log coordinates), so no
+    # the model's window transform maps the generator's standardised log
+    # coordinates back to prices in the history's own unit, so no
     # headroom or rescaling is needed
     full_cfg = gan_config_from(cfg, scale=1.0)
     run = None

@@ -10,20 +10,21 @@ standardised with the training windows' mean and std, where G maps the
 history's start levels onto a normal coordinate (see
 ``WindowTransform``). A day's move is then a unit-sized change the
 discriminator can see, and the generator's identity head emits the
-window jointly rather than one bounded level per day. After training,
-``train`` folds the inverse map into the generator: a relu layer for
-G^-1 and an ``exp`` layer for the sum back to log prices, so the stored
-generator emits prices directly.
+window jointly rather than one bounded level per day. A trained model
+keeps its fitted transform next to the identity-headed generator, and
+``sample`` applies the inverse to the generator's output.
 
-Checkpoint layout (little-endian): magic ``GMC1``, u32 format version,
+Checkpoint layout (little-endian): magic ``GMC1``, u32 format version 2,
 then generator and discriminator in that order, each as u32 layer
 count followed per layer by u32 rows, u32 cols, u8 activation tag,
 rows*cols f64 weights (row-major) and rows f64 biases; then the f64
-output scale and a trailing u32 CRC32 of all preceding bytes.
-Activation tags: 0 relu, 1 sigmoid, 2 tanh, 3 identity, 4 exp. A trained
-generator ends in an exp layer whose output times the scale is a price
-track; the stored discriminator consumes standardised log coordinates,
-not prices.
+output scale; the u32 knot count K of the window transform, then f64
+mean[T], std[T], level_knots[K] and normal_knots[K] (nothing when K=0:
+no transform); and a trailing u32 CRC32 of all preceding bytes.
+Activation tags: 0 relu, 1 sigmoid, 2 tanh, 3 identity, 4 exp. Format 1,
+still read, has no transform section; its trained generators end in an
+exp layer with the inverse transform folded in. The stored
+discriminator consumes standardised log coordinates, not prices.
 """
 
 from __future__ import annotations
@@ -36,13 +37,17 @@ from statistics import NormalDist
 import numpy as np
 
 CHECKPOINT_MAGIC = b"GMC1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _ACT_TO_TAG = {"relu": 0, "sigmoid": 1, "tanh": 2, "identity": 3, "exp": 4}
 _TAG_TO_ACT = {v: k for k, v in _ACT_TO_TAG.items()}
 
 # positive floor for sampled prices, as a fraction of the scale
 TRACK_FLOOR_FRACTION = 1e-6
+
+# rows of noise sampled per forward pass: a 256-wide hidden block of this
+# many rows is 2 MiB and stays in L2
+SAMPLE_BLOCK_ROWS = 1024
 
 # knots of the piecewise-linear map between log start levels and a normal
 # coordinate (see WindowTransform)
@@ -60,7 +65,9 @@ class CheckpointError(ValueError):
 
 
 def _relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
+    # in place on the caller's fresh pre-activation; the derivative's mask
+    # z > 0 reads the same from the output
+    return np.maximum(z, 0.0, out=z)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -170,7 +177,9 @@ def forward(net: MlpParams, x) -> np.ndarray:
     # no cache: each layer's values are freed once the next is computed
     out = xv
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        out = _ACTIVATIONS[act][0](out @ w.T + b)
+        out = out @ w.T
+        out += b
+        out = _ACTIVATIONS[act][0](out)
     return out[0] if single else out
 
 
@@ -317,6 +326,8 @@ class GanModel:
     generator: MlpParams
     discriminator: MlpParams
     scale: float
+    # None: the generator emits prices itself (hand-built, or format 1)
+    transform: WindowTransform | None = None
 
     @property
     def noise_dim(self) -> int:
@@ -367,46 +378,12 @@ class WindowTransform:
         return (coords - self.mean) / self.std
 
     def inverse(self, coords) -> np.ndarray:
-        c = np.asarray(coords, dtype=float) * self.std + self.mean
+        c = np.asarray(coords, dtype=float) * self.std
+        c += self.mean
         log_x0 = _interp_linear(c[:, :1], self.normal_knots, self.level_knots)
-        return np.exp(np.concatenate([log_x0, c[:, 1:] + log_x0], axis=1))
-
-    def fold_into(self, net: MlpParams, scale: float) -> MlpParams:
-        """Copy of an identity-headed net whose output, times scale, is ``inverse``.
-
-        The identity head is replaced by a relu layer and an exp layer. The
-        relu layer holds the hinges of G^-1 on coordinate 0 and passes every
-        other coordinate c_t through as relu(c_t) and relu(-c_t); the exp
-        layer adds them up to log(x_t / scale).
-        """
-        if net.activations[-1] != "identity":
-            raise GanError("only an identity output layer can absorb the window map")
-        T = self.mean.shape[0]
-        u, q = self.normal_knots, self.level_knots
-        slopes = np.diff(q) / np.diff(u) if len(u) > 1 else np.zeros(1)
-        # coordinate 0: hinges at u_0 (both sides, the linear part) and u_1..u_{K-2}
-        hinges = np.concatenate([u[:1], u[:1], u[1:-1]])
-        signs = np.ones(len(hinges))
-        signs[1] = -1.0
-        kinks = np.concatenate([[slopes[0], -slopes[0]], np.diff(slopes)])
-        # pre-activation c = head_w @ h + head_b, in the transform's coordinates
-        head_w = net.weights[-1] * self.std[:, None]
-        head_b = net.biases[-1] * self.std + self.mean
-        relu_w = np.concatenate(
-            [signs[:, None] * head_w[:1], head_w[1:], -head_w[1:]]
-        )
-        relu_b = np.concatenate([signs * (head_b[0] - hinges), head_b[1:], -head_b[1:]])
-        exp_w = np.zeros((T, relu_w.shape[0]))
-        exp_w[:, : len(hinges)] = kinks
-        path = np.arange(1, T)
-        exp_w[path, len(hinges) + path - 1] = 1.0
-        exp_w[path, len(hinges) + T - 1 + path - 1] = -1.0
-        exp_b = np.full(T, q[0] - np.log(scale))
-        return MlpParams(
-            weights=[w.copy() for w in net.weights[:-1]] + [relu_w, exp_w],
-            biases=[b.copy() for b in net.biases[:-1]] + [relu_b, exp_b],
-            activations=list(net.activations[:-1]) + ["relu", "exp"],
-        )
+        c[:, 1:] += log_x0
+        c[:, :1] = log_x0
+        return np.exp(c, out=c)
 
 
 def _log_windows(windows) -> np.ndarray:
@@ -523,9 +500,9 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
     training windows', summed over features. The features are the
     coordinates and the daily log-returns, each scaled to unit std over
     the training windows. The collapse probe is measured in the
-    coordinates too. The returned generator has the inverse transform
-    folded in (``WindowTransform.fold_into``), so ``sample`` yields
-    prices: forward(generator, z) * cfg.scale.
+    coordinates too. The returned model holds the identity-headed
+    generator and the fitted transform, so ``sample`` yields prices:
+    transform.inverse(forward(generator, z)) * cfg.scale.
     """
     x = np.asarray(windows, dtype=float)
     if x.ndim != 2 or x.shape[1] != cfg.T:
@@ -618,25 +595,30 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
             report.collapse_reason = reason
             break
 
-    model = GanModel(
-        generator=transform.fold_into(gen, cfg.scale), discriminator=disc, scale=cfg.scale
-    )
+    model = GanModel(generator=gen, discriminator=disc, scale=cfg.scale, transform=transform)
     return model, report
 
 
 def sample(model: GanModel, n2: int, seed: int) -> np.ndarray:
-    """Generate n2 price tracks of length T: forward(generator, z) * scale.
+    """Generate n2 price tracks of length T, floored at TRACK_FLOOR_FRACTION * scale.
 
-    A trained generator's exp head already yields positive prices; the
-    floor at TRACK_FLOOR_FRACTION * scale covers hand-built generators.
+    A track is transform.inverse(forward(generator, z)) * scale, or
+    forward(generator, z) * scale for a model without a transform. The
+    noise is drawn at once and run through the generator in even blocks
+    of at most SAMPLE_BLOCK_ROWS rows, which give the rows of one pass.
     """
     if n2 < 1:
         raise GanError(f"sample count must be >= 1, got {n2}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n2, model.noise_dim))
-    tracks = forward(model.generator, z) * model.scale
-    floor = TRACK_FLOOR_FRACTION * model.scale
-    return np.maximum(tracks, floor)
+    z = np.random.default_rng(seed).standard_normal((n2, model.noise_dim))
+    tracks = np.empty((n2, model.T))
+    # even blocks, no short tail: BLAS runs matmuls of a few rows on a
+    # small-matrix path whose rows differ from a large matmul's in the last bit
+    blocks = -(-n2 // SAMPLE_BLOCK_ROWS)
+    for z_rows, rows in zip(np.array_split(z, blocks), np.array_split(tracks, blocks)):
+        out = forward(model.generator, z_rows)
+        rows[...] = out if model.transform is None else model.transform.inverse(out)
+    tracks *= model.scale
+    return np.maximum(tracks, TRACK_FLOOR_FRACTION * model.scale, out=tracks)
 
 
 def _pack_net(net: MlpParams) -> bytes:
@@ -649,6 +631,15 @@ def _pack_net(net: MlpParams) -> bytes:
     return b"".join(parts)
 
 
+def _pack_transform(transform: WindowTransform | None) -> bytes:
+    if transform is None:
+        return struct.pack("<I", 0)
+    arrays = (transform.mean, transform.std, transform.level_knots, transform.normal_knots)
+    return struct.pack("<I", len(transform.level_knots)) + b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays
+    )
+
+
 def save_checkpoint(model: GanModel, path) -> None:
     body = (
         CHECKPOINT_MAGIC
@@ -656,6 +647,7 @@ def save_checkpoint(model: GanModel, path) -> None:
         + _pack_net(model.generator)
         + _pack_net(model.discriminator)
         + struct.pack("<d", model.scale)
+        + _pack_transform(model.transform)
     )
     with open(path, "wb") as fh:
         fh.write(body)
@@ -712,13 +704,17 @@ def load_checkpoint(path) -> GanModel:
     reader = _Reader(body)
     reader.take(4)  # magic
     version = reader.u32()
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(
-            f"{path}: format version {version} unsupported (expected {CHECKPOINT_VERSION})"
+            f"{path}: format version {version} unsupported (expected 1 or {CHECKPOINT_VERSION})"
         )
     gen = _unpack_net(reader)
     disc = _unpack_net(reader)
     scale = reader.f64()
+    T, knots = gen.layer_dims[-1], reader.u32() if version > 1 else 0
+    transform = None
+    if knots:  # mean[T], std[T], level_knots[K], normal_knots[K]
+        transform = WindowTransform(*(reader.f64_array(n) for n in (T, T, knots, knots)))
     if reader.pos != len(body):
         raise CheckpointError(f"{path}: trailing bytes in checkpoint")
-    return GanModel(generator=gen, discriminator=disc, scale=scale)
+    return GanModel(generator=gen, discriminator=disc, scale=scale, transform=transform)

@@ -44,11 +44,15 @@ def tsim(x, y) -> float:
 
 def _similarities(tracks: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """tsim of every row of `tracks` against `reference`."""
-    denom = np.abs(tracks) + np.abs(reference)
+    denom = np.abs(tracks)
+    denom += np.abs(reference)
+    term = np.subtract(tracks, reference)
+    np.abs(term, out=term)
     with np.errstate(invalid="ignore", divide="ignore"):
-        term = 1.0 - np.abs(tracks - reference) / denom
+        term /= denom
+    np.subtract(1.0, term, out=term)
     # both entries zero: identical values, similarity 1
-    term = np.where(denom == 0.0, 1.0, term)
+    term[denom == 0.0] = 1.0
     return term.mean(axis=1)
 
 

@@ -1,7 +1,12 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from ganmc.gan import (
+    SAMPLE_BLOCK_ROWS,
+    TRACK_FLOOR_FRACTION,
     Adam,
     CheckpointError,
     GanConfig,
@@ -21,6 +26,26 @@ from ganmc.gan import (
 from ganmc.windowing import partition
 
 from conftest import gbm_prices
+
+
+def small_trained_model(epochs=3):
+    windows = gbm_prices(120, seed=6)[np.arange(100)[:, None] + np.arange(8)]
+    cfg = GanConfig(T=8, noise_dim=4, gen_hidden=(16,), disc_hidden=(16,), epochs=epochs,
+                    batch_size=32, seed=2)
+    return train(windows, cfg)[0]
+
+
+def pack_v1(model):
+    """Format 1 bytes: the format 2 layout without the transform section."""
+    body = [b"GMC1", struct.pack("<I", 1)]
+    for net in (model.generator, model.discriminator):
+        body.append(struct.pack("<I", len(net.weights)))
+        for w, b, act in zip(net.weights, net.biases, net.activations):
+            tag = ["relu", "sigmoid", "tanh", "identity", "exp"].index(act)
+            body += [struct.pack("<IIB", *w.shape, tag), w.astype("<f8").tobytes(),
+                     b.astype("<f8").tobytes()]
+    body = b"".join(body) + struct.pack("<d", model.scale)
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def single_layer(w, b, act):
@@ -219,6 +244,13 @@ class TestTrain:
         assert not report.collapsed
         assert all(np.isfinite(report.discriminator_losses))
 
+    def test_returns_identity_head_and_transform(self):
+        model = small_trained_model(epochs=1)
+        assert model.generator.activations == ["relu", "identity"]
+        assert model.transform is not None
+        assert model.transform.mean.shape == model.transform.std.shape == (8,)
+        assert len(model.transform.level_knots) >= 1
+
     def test_batch_size_validated(self):
         windows = np.ones((4, 8)) * 100
         cfg = GanConfig(T=8, epochs=1, batch_size=16, scale=100.0)
@@ -256,6 +288,19 @@ class TestSample:
         assert tracks.shape == (50, 6)
         assert np.all(tracks >= 1e-6 * model.scale)
 
+    @pytest.mark.parametrize("n2", [1, SAMPLE_BLOCK_ROWS - 1, SAMPLE_BLOCK_ROWS,
+                                    SAMPLE_BLOCK_ROWS + 1, 2 * SAMPLE_BLOCK_ROWS + 3])
+    def test_blocks_bit_equal_to_one_pass(self, n2, rng):
+        # the served shapes: noise 32, hidden (128, 256), T=64
+        windows = gbm_prices(300, seed=8)[np.arange(200)[:, None] + np.arange(64)]
+        gen = init_mlp([32, 128, 256, 64], ["relu", "relu", "identity"], rng)
+        model = GanModel(generator=gen, discriminator=init_mlp([64, 1], ["sigmoid"], rng),
+                         scale=2.0, transform=WindowTransform.fit(windows))
+        z = np.random.default_rng(5).standard_normal((n2, 32))
+        expected = np.maximum(model.transform.inverse(forward(gen, z)) * 2.0,
+                              TRACK_FLOOR_FRACTION * 2.0)
+        np.testing.assert_array_equal(sample(model, n2, seed=5), expected)
+
 
 class TestWindowTransform:
     def test_round_trip(self):
@@ -291,25 +336,6 @@ class TestWindowTransform:
         with pytest.raises(GanError, match="positive"):
             WindowTransform.fit(np.array([[1.0, 0.0], [1.0, 2.0]]))
 
-    def test_fold_matches_inverse_of_output(self, rng):
-        windows = gbm_prices(200, seed=3)[np.arange(30)[:, None] + np.arange(6)]
-        transform = WindowTransform.fit(windows)
-        net = init_mlp([4, 8, 6], ["relu", "identity"], rng)
-        folded = transform.fold_into(net, scale=50.0)
-        assert folded.activations == ["relu", "relu", "exp"]
-        # wide noise reaches past the end knots of the level map
-        z = 3.0 * rng.standard_normal((200, 4))
-        np.testing.assert_allclose(
-            forward(folded, z) * 50.0, transform.inverse(forward(net, z)), rtol=1e-12
-        )
-        np.testing.assert_array_equal(forward(net, z), forward(net.copy(), z))  # input untouched
-
-    def test_fold_needs_identity_head(self, rng):
-        windows = gbm_prices(50, seed=3)[np.arange(10)[:, None] + np.arange(6)]
-        net = init_mlp([4, 6], ["sigmoid"], rng)
-        with pytest.raises(GanError, match="identity"):
-            WindowTransform.fit(windows).fold_into(net, 1.0)
-
 
 class TestCheckpoint:
     def _model(self, rng):
@@ -336,6 +362,42 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.generator.activations == ["relu", "exp"]
         np.testing.assert_array_equal(sample(model, 20, 3), sample(loaded, 20, 3))
+
+    def test_round_trip_trained_model(self, tmp_path):
+        model = small_trained_model()
+        path = tmp_path / "model.gmc"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        for name in ("mean", "std", "level_knots", "normal_knots"):
+            np.testing.assert_array_equal(getattr(loaded.transform, name),
+                                          getattr(model.transform, name))
+        np.testing.assert_array_equal(loaded.generator.params, model.generator.params)
+        np.testing.assert_array_equal(sample(loaded, 300, 4), sample(model, 300, 4))
+
+    def test_reads_format_1_folded_generator(self, rng, tmp_path):
+        # a format 1 trained generator: relu layers, then the exp head of the fold
+        gen = init_mlp([4, 8, 10, 6], ["relu", "relu", "exp"], rng)
+        disc = init_mlp([6, 8, 1], ["relu", "sigmoid"], rng)
+        model = GanModel(generator=gen, discriminator=disc, scale=1.0)
+        path = tmp_path / "model_v1.gmc"
+        path.write_bytes(pack_v1(model))
+        loaded = load_checkpoint(path)
+        assert loaded.transform is None
+        assert loaded.generator.activations == ["relu", "relu", "exp"]
+        np.testing.assert_array_equal(loaded.generator.params, gen.params)
+        z = np.random.default_rng(3).standard_normal((20, 4))
+        np.testing.assert_array_equal(sample(loaded, 20, 3), np.maximum(forward(gen, z), 1e-6))
+
+    def test_truncated_transform_section(self, tmp_path):
+        model = small_trained_model(epochs=1)
+        path = tmp_path / "model.gmc"
+        save_checkpoint(model, path)
+        body = path.read_bytes()[:-4]
+        # drop the last normal knot, then seal the shorter body with a valid CRC
+        short = body[:-8]
+        path.write_bytes(short + struct.pack("<I", zlib.crc32(short)))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.gmc"
