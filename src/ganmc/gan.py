@@ -2,7 +2,9 @@
 
 All network math is explicit numpy: forward passes, backpropagation,
 and Adam updates, so gradients can be verified against finite
-differences. Training is deterministic given the config seed.
+differences. ``train`` runs its minibatch loop in float32 and returns
+float64 networks; sampling, pricing and checkpoints are float64. Training
+is deterministic given the config seed, numpy/BLAS build and thread count.
 
 The networks work in log coordinates: a window x_0..x_{T-1} becomes
 (G(log x_0), log(x_1/x_0), ..., log(x_{T-1}/x_0)), each coordinate
@@ -103,9 +105,9 @@ def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.nd
 class MlpParams:
     """Dense network parameters; weights[l] has shape (dims[l+1], dims[l]).
 
-    The given arrays are copied into one contiguous float64 vector,
-    ``params``; ``weights`` and ``biases`` are views into it, so an
-    update of ``params`` updates every layer.
+    The given arrays are copied into one contiguous vector, ``params``
+    (float32 when all of them are, else float64); ``weights`` and ``biases``
+    are views into it, so an update of ``params`` updates every layer.
     """
 
     weights: list[np.ndarray]
@@ -123,9 +125,10 @@ class MlpParams:
                 raise GanError(f"layer {l}: unknown activation {act!r}")
             if l > 0 and w.shape[1] != self.weights[l - 1].shape[0]:
                 raise GanError(f"layer {l}: input dim {w.shape[1]} breaks the chain")
-        self.params = np.empty(sum(w.size + b.size for w, b in zip(self.weights, self.biases)))
+        arrays = list(self.weights) + list(self.biases)
+        self.params = np.empty(sum(a.size for a in arrays), np.result_type(np.float32, *arrays))
         weights, biases = self.views(self.params)
-        for dst, src in zip(weights + biases, list(self.weights) + list(self.biases)):
+        for dst, src in zip(weights + biases, arrays):
             dst[...] = src
         self.weights, self.biases = weights, biases
 
@@ -139,6 +142,11 @@ class MlpParams:
 
     def copy(self) -> "MlpParams":
         return MlpParams(list(self.weights), list(self.biases), list(self.activations))
+
+    def astype(self, dtype) -> "MlpParams":
+        """A copy with every parameter cast to dtype."""
+        return MlpParams([w.astype(dtype) for w in self.weights],
+                         [b.astype(dtype) for b in self.biases], list(self.activations))
 
 
 def init_mlp(dims: list[int], activations: list[str], rng: np.random.Generator) -> MlpParams:
@@ -449,7 +457,7 @@ def detect_collapse(
     return None
 
 
-def _bce_upstream(d_out: np.ndarray, target: float, batch: int) -> np.ndarray:
+def _bce_upstream(d_out: np.ndarray, target: np.ndarray | float, batch: int) -> np.ndarray:
     # d(BCE)/d(sigmoid output); the 1/(d(1-d)) factor cancels against the
     # sigmoid derivative in the last layer, _EPS keeps the ratio finite
     return (d_out - target) / (d_out * (1.0 - d_out) + _EPS) / batch
@@ -502,7 +510,10 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
     the training windows. The collapse probe is measured in the
     coordinates too. The returned model holds the identity-headed
     generator and the fitted transform, so ``sample`` yields prices:
-    transform.inverse(forward(generator, z)) * cfg.scale.
+    transform.inverse(forward(generator, z)) * cfg.scale. Training runs in
+    float32 (initialised and noise drawn in float64, then cast, so a seed
+    draws the same stream) and returns float64 networks of float32 values;
+    a seed repeats the run bit for bit on one numpy/BLAS build and thread count.
     """
     x = np.asarray(windows, dtype=float)
     if x.ndim != 2 or x.shape[1] != cfg.T:
@@ -516,20 +527,22 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
         [cfg.noise_dim, *cfg.gen_hidden, cfg.T],
         ["relu"] * len(cfg.gen_hidden) + ["identity"],
         rng,
-    )
+    ).astype(np.float32)
     disc = init_mlp(
         [cfg.T, *cfg.disc_hidden, 1],
         ["relu"] * len(cfg.disc_hidden) + ["sigmoid"],
         rng,
-    )
+    ).astype(np.float32)
     opt_g = Adam(gen, cfg.lr_generator, cfg.beta1, cfg.beta2, cfg.adam_eps)
     opt_d = Adam(disc, cfg.lr_discriminator, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    fake_grad = np.empty_like(disc.params)
-    fake_w, fake_b = disc.views(fake_grad)
 
     transform = WindowTransform.fit(x)
     x_std = transform.transform(x)
-    moments, target_std = _moment_features(transform, x_std)
+    moments, target_std = (a.astype(np.float32) for a in _moment_features(transform, x_std))
+    x_std = x_std.astype(np.float32)
+    b = cfg.batch_size
+    pair = np.empty((2 * b, cfg.T), dtype=np.float32)
+    labels = np.repeat([[cfg.real_label], [0.0]], b, axis=0)
     report = TrainReport()
 
     for epoch in range(cfg.epochs):
@@ -537,49 +550,42 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
         # start levels drawn apart from the paths (see the docstring)
         real_epoch[:, 0] = x_std[rng.permutation(m), 0]
         d_epoch, g_epoch = [], []
-        for start in range(0, m - cfg.batch_size + 1, cfg.batch_size):
-            real = real_epoch[start : start + cfg.batch_size]
-            b = real.shape[0]
-
-            # discriminator step: real-batch gradients straight into the
-            # optimiser's buffer, fake-batch ones added in place; no input
-            # gradients are needed
-            z = rng.standard_normal((b, cfg.noise_dim))
-            fake = forward(gen, z)
-            d_real, cache_r = _forward_cached(disc, real)
-            d_fake, cache_f = _forward_cached(disc, fake)
-            _backward_cached(
-                disc, cache_r, _bce_upstream(d_real, cfg.real_label, b),
-                opt_d.grad_w, opt_d.grad_b, input_grad=False,
-            )
-            _backward_cached(
-                disc, cache_f, _bce_upstream(d_fake, 0.0, b),
-                fake_w, fake_b, input_grad=False,
-            )
-            opt_d.grad += fake_grad
+        for start in range(0, m - b + 1, b):
+            # discriminator step: one forward and one backward pass over the
+            # real rows, then the fake ones; gradients straight into the
+            # optimiser's buffer, no input gradients
+            z = rng.standard_normal((b, cfg.noise_dim)).astype(np.float32)
+            pair[:b] = real_epoch[start : start + b]
+            pair[b:] = _forward_cached(gen, z)[0]
+            d_out, cache = _forward_cached(disc, pair)
+            # losses and upstreams from a float64 copy: in float32, 1 - _EPS
+            # rounds to 1.0, so a saturated output's clipped log is -inf
+            d = d_out.astype(float)
+            upstream = _bce_upstream(d, labels, b).astype(np.float32)
+            _backward_cached(disc, cache, upstream, opt_d.grad_w, opt_d.grad_b, input_grad=False)
             opt_d.update(disc)
-
-            dr = np.clip(d_real, _EPS, 1.0 - _EPS)
-            df = np.clip(d_fake, _EPS, 1.0 - _EPS)
-            d_epoch.append(float(-(np.log(dr).mean() + np.log1p(-df).mean())))
+            d = np.clip(d, _EPS, 1.0 - _EPS)
+            d_epoch.append(float(-(np.log(d[:b]).mean() + np.log1p(-d[b:]).mean())))
 
             # generator step (non-saturating loss): only the input gradient
             # of the discriminator, only the parameter gradients of the generator
-            z = rng.standard_normal((b, cfg.noise_dim))
+            z = rng.standard_normal((b, cfg.noise_dim)).astype(np.float32)
             fake, cache_g = _forward_cached(gen, z)
             d_out, cache_d = _forward_cached(disc, fake)
-            upstream = -1.0 / (np.maximum(d_out, _EPS) * b)
+            d = d_out.astype(float)
+            upstream = (-1.0 / (np.maximum(d, _EPS) * b)).astype(np.float32)
             grad_fake = _backward_cached(disc, cache_d, upstream)
             grad_fake += _moment_grad(fake @ moments, target_std) @ moments.T
             _backward_cached(gen, cache_g, grad_fake, opt_g.grad_w, opt_g.grad_b, input_grad=False)
             opt_g.update(gen)
-            g_epoch.append(float(-np.log(np.clip(d_out, _EPS, 1.0)).mean()))
+            g_epoch.append(float(-np.log(np.clip(d, _EPS, 1.0)).mean()))
 
         report.discriminator_losses.append(float(np.mean(d_epoch)))
         report.generator_losses.append(float(np.mean(g_epoch)))
         report.epochs_run = epoch + 1
 
-        probe = forward(gen, rng.standard_normal((cfg.probe_size, cfg.noise_dim)))
+        z = rng.standard_normal((cfg.probe_size, cfg.noise_dim)).astype(np.float32)
+        probe = _forward_cached(gen, z)[0]
         # earlier epochs' losses were checked already: the trailing k_epochs
         # decide the verdict, which keeps the check O(k_epochs) per epoch
         reason = detect_collapse(
@@ -595,8 +601,7 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
             report.collapse_reason = reason
             break
 
-    model = GanModel(generator=gen, discriminator=disc, scale=cfg.scale, transform=transform)
-    return model, report
+    return GanModel(gen.astype(float), disc.astype(float), cfg.scale, transform), report
 
 
 def sample(model: GanModel, n2: int, seed: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from ganmc import gan
 from ganmc.gan import (
     SAMPLE_BLOCK_ROWS,
     TRACK_FLOOR_FRACTION,
@@ -28,11 +29,15 @@ from ganmc.windowing import partition
 from conftest import gbm_prices
 
 
-def small_trained_model(epochs=3):
+def small_training_run(epochs=3):
     windows = gbm_prices(120, seed=6)[np.arange(100)[:, None] + np.arange(8)]
     cfg = GanConfig(T=8, noise_dim=4, gen_hidden=(16,), disc_hidden=(16,), epochs=epochs,
                     batch_size=32, seed=2)
-    return train(windows, cfg)[0]
+    return train(windows, cfg)
+
+
+def small_trained_model(epochs=3):
+    return small_training_run(epochs)[0]
 
 
 def pack_v1(model):
@@ -164,28 +169,35 @@ def reference_adam(weights, biases, grads, lr, beta1, beta2, eps):
     return params
 
 
+GENERATOR = ([32, 128, 256, 64], ["relu", "relu", "identity"])
+DISCRIMINATOR = ([64, 256, 64, 1], ["relu", "relu", "sigmoid"])
+
+
 class TestAdam:
+    # float32 is the training precision: the reference loop runs in it too,
+    # and a silent up-cast of the moments or parameters fails the dtype check
     @pytest.mark.parametrize(
-        "dims, acts",
-        [
-            ([32, 128, 256, 64], ["relu", "relu", "identity"]),  # generator
-            ([64, 256, 64, 1], ["relu", "relu", "sigmoid"]),  # discriminator
-        ],
+        "dims, acts, dtype",
+        [(*GENERATOR, np.float64), (*DISCRIMINATOR, np.float64),
+         (*GENERATOR, np.float32), (*DISCRIMINATOR, np.float32)],
+        ids=["dims0-acts0", "dims1-acts1", "dims0-acts0-float32", "dims1-acts1-float32"],
     )
-    def test_flat_step_bit_equal_to_per_array_loop(self, dims, acts, rng):
-        net = init_mlp(dims, acts, rng)
+    def test_flat_step_bit_equal_to_per_array_loop(self, dims, acts, dtype, rng):
+        net = init_mlp(dims, acts, rng).astype(dtype)
         grads = []
         for _ in range(5):
             grads.append((
-                [rng.standard_normal(w.shape) for w in net.weights],
-                [rng.standard_normal(b.shape) for b in net.biases],
+                [rng.standard_normal(w.shape).astype(dtype) for w in net.weights],
+                [rng.standard_normal(b.shape).astype(dtype) for b in net.biases],
             ))
         expected = reference_adam(net.weights, net.biases, grads, 2e-4, 0.5, 0.999, 1e-8)
         opt = Adam(net, 2e-4, 0.5, 0.999, 1e-8)
         for gw, gb in grads:
             opt.step(net, gw, gb)
         for got, want in zip(net.weights + net.biases, expected):
+            assert want.dtype == dtype
             np.testing.assert_array_equal(got, want)
+        assert net.params.dtype == opt.m.dtype == opt.v.dtype == dtype
 
 
 class TestDetectCollapse:
@@ -250,6 +262,27 @@ class TestTrain:
         assert model.transform is not None
         assert model.transform.mean.shape == model.transform.std.shape == (8,)
         assert len(model.transform.level_knots) >= 1
+
+    def test_returns_float64_nets_of_float32_values(self):
+        # trained in float32 and cast once at the end; checkpoint format 2
+        # stores them exactly (TestCheckpoint::test_round_trip_trained_model)
+        model = small_trained_model()
+        for net in (model.generator, model.discriminator):
+            assert net.params.dtype == np.float64
+            np.testing.assert_array_equal(net.params.astype(np.float32).astype(float), net.params)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0])
+    def test_saturated_discriminator_keeps_losses_finite(self, level, monkeypatch):
+        # a float32 sigmoid rounds to exactly 0 or 1, where 1 - 1e-12 is 1.0
+        # in float32: a clipped log taken in float32 would be -inf
+        derivative = gan._ACTIVATIONS["sigmoid"][1]
+        monkeypatch.setitem(gan._ACTIVATIONS, "sigmoid",
+                            (lambda z: np.full_like(z, level), derivative))
+        model, report = small_training_run()
+        assert report.collapse_reason is None and report.epochs_run == 3
+        assert np.isfinite(report.discriminator_losses + report.generator_losses).all()
+        for net in (model.generator, model.discriminator):
+            assert np.isfinite(net.params).all()
 
     def test_batch_size_validated(self):
         windows = np.ones((4, 8)) * 100
