@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -59,44 +60,53 @@ class CollapseError(RuntimeError):
     pass
 
 
+def _key(section: str, key: str, default):
+    """A config field, set by `key = value` under `[section]` of a config file."""
+    return field(default=default, metadata={"key": (section, key)})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: data files, model kind and hyperparameters.
+
+    Each field declares its config file key through ``_key``, and a value
+    is parsed with the field's type; a field that ``GanConfig`` shares by
+    name is handed to the GAN (``gan_config_from``).
 
     The stride probe is the first min(probe_epochs, epochs) epochs of the
     full GAN training run (see ``train_gan``), so a probe_epochs above
     epochs probes the whole run.
     """
 
-    prices_path: str = ""
-    symbol: str = ""
-    dividends_path: str = ""
-    quotes_path: str = ""
-    quote_id: str = ""
-    contracts_path: str = ""
-    lr_train_rows: int = 0
-    model: str = "gan-mc"
-    r: float = 0.05
-    dt: float = DEFAULT_DT
-    T: int = 128
-    n1: int = 290
-    n2: int = 5120
-    n3: int = 50
-    alpha: float = 0.8
-    seed: int = 0
-    noise_dim: int = 32
-    epochs: int = 2000
-    batch_size: int = 64
-    lr_generator: float = 2e-4
-    lr_discriminator: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    delta_loss: float = 0.05
-    eps_std: float = 1e-4
-    k_epochs: int = 20
-    probe_epochs: int = 200
-    checkpoint_path: str = ""
+    prices_path: str = _key("data", "prices", "")
+    symbol: str = _key("data", "symbol", "")
+    dividends_path: str = _key("data", "dividends", "")
+    quotes_path: str = _key("data", "quotes", "")
+    quote_id: str = _key("data", "quote_id", "")
+    contracts_path: str = _key("contracts", "file", "")
+    lr_train_rows: int = _key("contracts", "lr_train_rows", 0)
+    model: str = _key("model", "kind", "gan-mc")
+    r: float = _key("model", "r", 0.05)
+    dt: float = _key("model", "dt", DEFAULT_DT)
+    T: int = _key("model", "T", 128)
+    n1: int = _key("model", "N1", 290)
+    n2: int = _key("model", "N2", 5120)
+    n3: int = _key("model", "N3", 50)
+    alpha: float = _key("model", "alpha", 0.8)
+    seed: int = _key("model", "seed", 0)
+    noise_dim: int = _key("gan", "noise_dim", 32)
+    epochs: int = _key("gan", "epochs", 2000)
+    batch_size: int = _key("gan", "batch_size", 64)
+    lr_generator: float = _key("gan", "lr_generator", 2e-4)
+    lr_discriminator: float = _key("gan", "lr_discriminator", 2e-4)
+    beta1: float = _key("gan", "beta1", 0.5)
+    beta2: float = _key("gan", "beta2", 0.999)
+    adam_eps: float = _key("gan", "adam_eps", 1e-8)
+    delta_loss: float = _key("gan", "delta_loss", 0.05)
+    eps_std: float = _key("gan", "eps_std", 1e-4)
+    k_epochs: int = _key("gan", "k_epochs", 20)
+    probe_epochs: int = _key("gan", "probe_epochs", 200)
+    checkpoint_path: str = _key("gan", "checkpoint", "")
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
@@ -107,37 +117,11 @@ class ExperimentConfig:
             raise ConfigError(f"T must be >= 1, got {self.T}")
 
 
-# (section, key) -> (field name, parser)
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+# (section, key) -> (field name, parser: the field's type)
 _CONFIG_SCHEMA = {
-    ("data", "prices"): ("prices_path", str),
-    ("data", "symbol"): ("symbol", str),
-    ("data", "dividends"): ("dividends_path", str),
-    ("data", "quotes"): ("quotes_path", str),
-    ("data", "quote_id"): ("quote_id", str),
-    ("contracts", "file"): ("contracts_path", str),
-    ("contracts", "lr_train_rows"): ("lr_train_rows", int),
-    ("model", "kind"): ("model", str),
-    ("model", "r"): ("r", float),
-    ("model", "dt"): ("dt", float),
-    ("model", "T"): ("T", int),
-    ("model", "N1"): ("n1", int),
-    ("model", "N2"): ("n2", int),
-    ("model", "N3"): ("n3", int),
-    ("model", "alpha"): ("alpha", float),
-    ("model", "seed"): ("seed", int),
-    ("gan", "noise_dim"): ("noise_dim", int),
-    ("gan", "epochs"): ("epochs", int),
-    ("gan", "batch_size"): ("batch_size", int),
-    ("gan", "lr_generator"): ("lr_generator", float),
-    ("gan", "lr_discriminator"): ("lr_discriminator", float),
-    ("gan", "beta1"): ("beta1", float),
-    ("gan", "beta2"): ("beta2", float),
-    ("gan", "adam_eps"): ("adam_eps", float),
-    ("gan", "delta_loss"): ("delta_loss", float),
-    ("gan", "eps_std"): ("eps_std", float),
-    ("gan", "k_epochs"): ("k_epochs", int),
-    ("gan", "probe_epochs"): ("probe_epochs", int),
-    ("gan", "checkpoint"): ("checkpoint_path", str),
+    f.metadata["key"]: (f.name, _FIELD_TYPES[f.name]) for f in fields(ExperimentConfig)
 }
 
 _SECTIONS = {section for section, _ in _CONFIG_SCHEMA}
@@ -171,25 +155,17 @@ def parse_config(path) -> ExperimentConfig:
                 values[name] = parser(value)
             except ValueError:
                 raise ConfigError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
-    try:
-        return ExperimentConfig(**values)
-    except ConfigError:
-        raise
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(**values)
 
 
 def config_echo(cfg: ExperimentConfig) -> str:
-    parts = [f"{name}={getattr(cfg, name)}" for name in cfg.__dataclass_fields__]
+    parts = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)]
     return "\n".join(parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContractRow:
-    side: str
-    style: str
-    strike: float
-    t0_years: float
+    contract: OptionContract
     sigma: float
     actual: float
 
@@ -201,11 +177,12 @@ def load_contracts(path) -> list[ContractRow]:
     for i, (side, style, *numbers) in read_rows(path, header):
         try:
             strike, t0_years, sigma, actual = map(float, numbers)
+            contract = OptionContract(side.strip(), style.strip(), strike, t0_years)
+        except PricingError as exc:
+            raise MarketDataError(f"{path}: {exc} at row {i}") from None
         except ValueError:
             raise MarketDataError(f"{path}: bad numeric value at row {i}") from None
-        contracts.append(
-            ContractRow(side.strip(), style.strip(), strike, t0_years, sigma, actual)
-        )
+        contracts.append(ContractRow(contract, sigma, actual))
     return contracts
 
 
@@ -233,22 +210,9 @@ class EvalReport:
 
 
 def gan_config_from(cfg: ExperimentConfig, scale: float) -> GanConfig:
-    return GanConfig(
-        T=cfg.T,
-        noise_dim=cfg.noise_dim,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr_generator=cfg.lr_generator,
-        lr_discriminator=cfg.lr_discriminator,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        adam_eps=cfg.adam_eps,
-        seed=cfg.seed,
-        scale=scale,
-        delta_loss=cfg.delta_loss,
-        eps_std=cfg.eps_std,
-        k_epochs=cfg.k_epochs,
-    )
+    """The GanConfig of every hyperparameter the two configs share by name."""
+    shared = {f.name for f in fields(GanConfig)} & {f.name for f in fields(cfg)}
+    return GanConfig(scale=scale, **{name: getattr(cfg, name) for name in shared})
 
 
 @dataclass
@@ -345,6 +309,8 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     started = time.monotonic()
     contracts = _stage("market_data", load_contracts, cfg.contracts_path)
     if cfg.model == "gan-mc":
+        for row in contracts:
+            _stage("pricing_options", payoff_index, row.contract.t0_years, cfg.dt, cfg.T)
         series, tracks = _retained(cfg)
     else:
         series = _load_prices(cfg)
@@ -359,7 +325,8 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
             )
         regime = {"lr": "all", "lr-itm": "itm", "lr-otm": "otm"}[cfg.model]
         train_rows = [
-            (spot, c.strike, c.t0_years, c.side, c.actual) for c in contracts[:split]
+            (spot, row.contract.strike, row.contract.t0_years, row.contract.side, row.actual)
+            for row in contracts[:split]
         ]
         pricer = _stage("baselines", fit_linear_pricer, train_rows, regime)
         test = contracts[split:]
@@ -367,11 +334,12 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
         test = contracts
 
     rows: list[tuple[str, float, float, float]] = []
-    for i, c in enumerate(test):
+    for i, row in enumerate(test):
         contract_id = str(i)
+        c = row.contract
         if cfg.model == "bs":
             predicted = _stage(
-                "baselines", bs_price, c.side, spot, c.strike, cfg.r, c.sigma, c.t0_years
+                "baselines", bs_price, c.side, spot, c.strike, cfg.r, row.sigma, c.t0_years
             )
         elif cfg.model == "mc":
             predicted = _stage(
@@ -381,7 +349,7 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
                 spot,
                 c.strike,
                 cfg.r,
-                c.sigma,
+                row.sigma,
                 c.t0_years,
                 cfg.n2,
                 cfg.seed + i,
@@ -389,20 +357,15 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
                 c.style,
             )
         elif cfg.model == "gan-mc":
-            contract = OptionContract(
-                side=c.side, style=c.style, strike=c.strike, t0_years=c.t0_years
-            )
-            predicted = _stage(
-                "pricing_options", price_option, contract, tracks, cfg.r, cfg.dt
-            ).value
+            predicted = _stage("pricing_options", price_option, c, tracks, cfg.r, cfg.dt).value
         else:
             moneyness_row = (spot, c.strike, c.t0_years, c.side)
             try:
                 predicted = lr_price(pricer, moneyness_row)
             except PricingError:
                 continue  # outside the fitted regime
-        ape = abs(predicted - c.actual) / abs(c.actual) if c.actual else float("inf")
-        rows.append((contract_id, float(predicted), c.actual, float(ape)))
+        ape = abs(predicted - row.actual) / abs(row.actual) if row.actual else float("inf")
+        rows.append((contract_id, float(predicted), row.actual, float(ape)))
 
     if not rows:
         raise StageError("eval", PricingError("no contracts to evaluate"))
@@ -488,6 +451,7 @@ def price_commodity_pipeline(cfg: ExperimentConfig, t0_years: float) -> float:
         "market_data", load_quotes, cfg.quotes_path, cfg.quote_id or cfg.symbol
     )
     carry = _stage("pricing_futures", estimate_carry, quotes, cfg.r, t0_years, cfg.n3)
+    _stage("pricing_futures", payoff_index, t0_years, cfg.dt, cfg.T)
     _, tracks = _retained(cfg)
     return _stage(
         "pricing_futures", price_commodity, tracks, carry, cfg.r, t0_years, cfg.dt
@@ -496,5 +460,6 @@ def price_commodity_pipeline(cfg: ExperimentConfig, t0_years: float) -> float:
 
 def price_option_pipeline(cfg: ExperimentConfig, contract: OptionContract) -> float:
     """End-to-end option price from the configured price history."""
+    _stage("pricing_options", payoff_index, contract.t0_years, cfg.dt, cfg.T)
     _, tracks = _retained(cfg)
     return _stage("pricing_options", price_option, contract, tracks, cfg.r, cfg.dt).value

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import NormalDist
+from typing import ClassVar, get_type_hints
 
 import numpy as np
 
@@ -54,6 +55,12 @@ SAMPLE_BLOCK_ROWS = 1024
 # knots of the piecewise-linear map between log start levels and a normal
 # coordinate (see WindowTransform)
 LEVEL_KNOTS = 32
+
+# smoothed discriminator target for real windows
+REAL_LABEL = 0.9
+
+# generated windows drawn after each epoch for the collapse probe
+PROBE_SIZE = 64
 
 _EPS = 1e-12
 
@@ -301,32 +308,19 @@ class GanConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     scale: float = 1.0  # sampled tracks are forward(generator, z) * scale
-    real_label: float = 0.9
     delta_loss: float = 0.05
     eps_std: float = 1e-4
     k_epochs: int = 20
-    probe_size: int = 64
+    # not a field; perfbench's flop count (layers.train_flop_per_epoch) reads it here
+    probe_size: ClassVar[int] = PROBE_SIZE
 
     def __post_init__(self):
-        positives = {
-            "T": self.T,
-            "noise_dim": self.noise_dim,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr_generator": self.lr_generator,
-            "lr_discriminator": self.lr_discriminator,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "scale": self.scale,
-            "delta_loss": self.delta_loss,
-            "eps_std": self.eps_std,
-            "k_epochs": self.k_epochs,
-            "probe_size": self.probe_size,
-        }
-        for name, value in positives.items():
-            if not (value > 0):
-                raise GanError(f"{name} must be positive, got {value}")
+        """Every scalar hyperparameter but the seed must be positive."""
+        hints = get_type_hints(GanConfig)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if hints[f.name] in (int, float) and f.name != "seed" and not (value > 0):
+                raise GanError(f"{f.name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -542,7 +536,7 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
     x_std = x_std.astype(np.float32)
     b = cfg.batch_size
     pair = np.empty((2 * b, cfg.T), dtype=np.float32)
-    labels = np.repeat([[cfg.real_label], [0.0]], b, axis=0)
+    labels = np.repeat([[REAL_LABEL], [0.0]], b, axis=0)
     report = TrainReport()
 
     for epoch in range(cfg.epochs):
@@ -584,7 +578,7 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
         report.generator_losses.append(float(np.mean(g_epoch)))
         report.epochs_run = epoch + 1
 
-        z = rng.standard_normal((cfg.probe_size, cfg.noise_dim)).astype(np.float32)
+        z = rng.standard_normal((PROBE_SIZE, cfg.noise_dim)).astype(np.float32)
         probe = _forward_cached(gen, z)[0]
         # earlier epochs' losses were checked already: the trailing k_epochs
         # decide the verdict, which keeps the check O(k_epochs) per epoch

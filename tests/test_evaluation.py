@@ -11,6 +11,7 @@ from ganmc.evaluation import (
     ConfigError,
     ExperimentConfig,
     StageError,
+    gan_config_from,
     generate_tracks_csv,
     load_contracts,
     mape,
@@ -28,7 +29,7 @@ from ganmc.futures import (
     price_commodity,
     price_equity_futures,
 )
-from ganmc.gan import TrainReport, save_checkpoint, train
+from ganmc.gan import GanConfig, TrainReport, save_checkpoint, train
 from ganmc.market_data import MarketDataError, load_dividends, load_price_series, load_quotes
 from ganmc.windowing import partition
 from ganmc.options import OptionContract, PricingError, price_option
@@ -104,7 +105,88 @@ class TestMape:
         assert mape(pred, act) == pytest.approx(expected, rel=1e-12)
 
 
+# every config file key, as (section, key, ExperimentConfig field)
+CONFIG_KEYS = [
+    ("data", "prices", "prices_path"),
+    ("data", "symbol", "symbol"),
+    ("data", "dividends", "dividends_path"),
+    ("data", "quotes", "quotes_path"),
+    ("data", "quote_id", "quote_id"),
+    ("contracts", "file", "contracts_path"),
+    ("contracts", "lr_train_rows", "lr_train_rows"),
+    ("model", "kind", "model"),
+    ("model", "r", "r"),
+    ("model", "dt", "dt"),
+    ("model", "T", "T"),
+    ("model", "N1", "n1"),
+    ("model", "N2", "n2"),
+    ("model", "N3", "n3"),
+    ("model", "alpha", "alpha"),
+    ("model", "seed", "seed"),
+    ("gan", "noise_dim", "noise_dim"),
+    ("gan", "epochs", "epochs"),
+    ("gan", "batch_size", "batch_size"),
+    ("gan", "lr_generator", "lr_generator"),
+    ("gan", "lr_discriminator", "lr_discriminator"),
+    ("gan", "beta1", "beta1"),
+    ("gan", "beta2", "beta2"),
+    ("gan", "adam_eps", "adam_eps"),
+    ("gan", "delta_loss", "delta_loss"),
+    ("gan", "eps_std", "eps_std"),
+    ("gan", "k_epochs", "k_epochs"),
+    ("gan", "probe_epochs", "probe_epochs"),
+    ("gan", "checkpoint", "checkpoint_path"),
+]
+
+# a value for every field that differs from its default, of the field's type
+NON_DEFAULT = {
+    "prices_path": "p.csv", "symbol": "XYZ", "dividends_path": "d.csv",
+    "quotes_path": "q.csv", "quote_id": "FUT2", "contracts_path": "c.csv",
+    "lr_train_rows": 7, "model": "lr-otm", "r": 0.03, "dt": 0.002, "T": 33,
+    "n1": 11, "n2": 99, "n3": 5, "alpha": 0.6, "seed": 42, "noise_dim": 8,
+    "epochs": 77, "batch_size": 16, "lr_generator": 1e-3, "lr_discriminator": 3e-4,
+    "beta1": 0.6, "beta2": 0.99, "adam_eps": 1e-6, "delta_loss": 0.07, "eps_std": 2e-4,
+    "k_epochs": 9, "probe_epochs": 13, "checkpoint_path": "m.gmc",
+}
+
+# the hyperparameters the GAN takes from the experiment config
+GAN_SHARED = [
+    "T", "noise_dim", "epochs", "batch_size", "lr_generator", "lr_discriminator",
+    "beta1", "beta2", "adam_eps", "seed", "delta_loss", "eps_std", "k_epochs",
+]
+
+
 class TestConfigParsing:
+    def test_schema_holds_exactly_the_reference_keys(self):
+        derived = {(s, k, name) for (s, k), (name, _) in evaluation._CONFIG_SCHEMA.items()}
+        assert derived == set(CONFIG_KEYS)
+        assert len(evaluation._CONFIG_SCHEMA) == len(CONFIG_KEYS)
+
+    def test_every_key_round_trips_with_its_type(self, tmp_path):
+        defaults = ExperimentConfig()
+        text = ""
+        for section in dict.fromkeys(s for s, _, _ in CONFIG_KEYS):
+            text += f"[{section}]\n"
+            text += "".join(
+                f"{k} = {NON_DEFAULT[name]}\n" for s, k, name in CONFIG_KEYS if s == section
+            )
+        (tmp_path / "cfg.txt").write_text(text)
+        cfg = parse_config(tmp_path / "cfg.txt")
+        for _, _, name in CONFIG_KEYS:
+            value = NON_DEFAULT[name]
+            assert getattr(defaults, name) != value, name
+            assert getattr(cfg, name) == value, name
+            assert type(getattr(cfg, name)) is type(getattr(defaults, name)), name
+
+    def test_gan_config_carries_every_shared_hyperparameter(self):
+        cfg = ExperimentConfig(**NON_DEFAULT)
+        gan_cfg = gan_config_from(cfg, scale=2.5)
+        gan_defaults = GanConfig(T=1)
+        for name in GAN_SHARED:
+            assert getattr(gan_cfg, name) == getattr(cfg, name), name
+            assert getattr(gan_defaults, name) != getattr(cfg, name), name
+        assert gan_cfg.scale == 2.5
+
     def test_round_trip_values(self, tmp_path):
         path = write_config(
             tmp_path / "cfg.txt",
@@ -325,8 +407,24 @@ class TestContractsLoader:
             tmp_path / "c.csv", [("call", "european", 100.0, 0.25, 0.2, 5.0)]
         )
         rows = load_contracts(path)
-        assert rows[0].side == "call"
-        assert rows[0].strike == 100.0
+        assert rows[0].contract == OptionContract("call", "european", 100.0, 0.25)
+        assert (rows[0].sigma, rows[0].actual) == (0.2, 5.0)
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            ("cal", "european", 100.0, 0.25, 0.2, 5.0),
+            ("call", "europe", 100.0, 0.25, 0.2, 5.0),
+            ("call", "european", 100.0, -0.25, 0.2, 5.0),
+        ],
+        ids=["side", "style", "t0_years"],
+    )
+    def test_invalid_contract_names_file_and_row(self, tmp_path, bad_row):
+        path = write_contracts(
+            tmp_path / "c.csv", [("put", "american", 95.0, 0.5, 0.2, 3.0), bad_row]
+        )
+        with pytest.raises(MarketDataError, match=r"c\.csv: .* at row 3"):
+            load_contracts(path)
 
 
 class TestCli:
@@ -514,6 +612,27 @@ class TestFailBeforeTraining:
         code = self._exit_code(
             command_files, tmp_path, ["price-commodity", "--t0", repr(10 / 252)],
             model__N3="20",
+        )
+        assert (code, no_training) == (1, [])
+
+    @pytest.mark.parametrize("t0", [0.3, 5.0], ids=["fractional_day", "beyond_T"])
+    @pytest.mark.parametrize("command", ["price-option", "price-commodity"])
+    def test_bad_payoff_day(self, command_files, tmp_path, no_training, command, t0):
+        # T=16 days: 0.3 years is 75.6 days, 5 years is 1260
+        option = ["--side", "call", "--strike", "100"] if command == "price-option" else []
+        code = self._exit_code(command_files, tmp_path, [command, *option, "--t0", repr(t0)])
+        assert (code, no_training) == (1, [])
+
+    @pytest.mark.parametrize("t0", [0.3, 5.0], ids=["fractional_day", "beyond_T"])
+    def test_evaluate_contract_with_bad_payoff_day(self, command_files, tmp_path, no_training, t0):
+        contracts = write_contracts(
+            tmp_path / "contracts.csv",
+            [("call", "european", 100.0, 10 / 252, 0.2, 3.0),
+             ("put", "european", 100.0, t0, 0.2, 3.0)],
+        )
+        code = self._exit_code(
+            command_files, tmp_path, ["--out", str(tmp_path / "report.csv"), "evaluate"],
+            contracts__file=contracts,
         )
         assert (code, no_training) == (1, [])
 

@@ -224,6 +224,24 @@ class TestDetectCollapse:
         assert reason is not None and "discriminator loss" in reason
 
 
+# every scalar GanConfig field but the seed
+POSITIVE_FIELDS = [
+    "T", "noise_dim", "epochs", "batch_size", "lr_generator", "lr_discriminator", "beta1",
+    "beta2", "adam_eps", "scale", "delta_loss", "eps_std", "k_epochs",
+]
+
+
+class TestGanConfig:
+    @pytest.mark.parametrize("value", [0, -1], ids=["zero", "negative"])
+    @pytest.mark.parametrize("name", POSITIVE_FIELDS)
+    def test_scalar_must_be_positive(self, name, value):
+        with pytest.raises(GanError, match=f"^{name} must be positive, got {value}$"):
+            GanConfig(**{"T": 8, name: value})
+
+    def test_seed_zero_accepted(self):
+        assert GanConfig(T=8, seed=0).seed == 0
+
+
 class TestTrain:
     def test_degenerate_training_set_collapses(self):
         # all-equal windows: the generator shrinks toward a point mass;
