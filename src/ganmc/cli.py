@@ -72,10 +72,10 @@ def _run(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    if args.command in ("train", "generate", "evaluate") and not args.out:
+        raise ConfigError(f"{args.command} requires --out")
 
     if args.command == "train":
-        if not args.out:
-            raise ConfigError("train requires --out for the checkpoint path")
         series = load_price_series(cfg.prices_path, cfg.symbol)
         pipe = train_gan(cfg, np.asarray(series.prices))
         save_checkpoint(pipe.model, args.out)
@@ -83,8 +83,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "generate":
-        if not args.out:
-            raise ConfigError("generate requires --out for the CSV path")
         generate_tracks_csv(cfg, args.count, args.out)
         print(f"wrote {args.count} tracks to {args.out}")
         return 0
@@ -105,8 +103,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "evaluate":
-        if not args.out:
-            raise ConfigError("evaluate requires --out for the report path")
         report = run_pipeline(cfg)
         write_report(report, args.out)
         print(f"{report.model} MAPE {report.mape_percent:.4f}% over {len(report.rows)} contracts")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
@@ -115,6 +116,10 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
         if self.T < 1:
             raise ConfigError(f"T must be >= 1, got {self.T}")
+        if self.n2 < 1:
+            raise ConfigError(f"N2 must be >= 1, got {self.n2}")
+        if not self.dt > 0.0:
+            raise ConfigError(f"dt must be positive, got {self.dt}")
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
@@ -260,28 +265,20 @@ def train_gan(cfg: ExperimentConfig, prices: np.ndarray) -> TrainedPipeline:
     )
 
 
-def obtain_model(cfg: ExperimentConfig, prices: np.ndarray) -> TrainedPipeline:
+def obtain_model(cfg: ExperimentConfig, prices: np.ndarray) -> GanModel:
     """Load the configured checkpoint, or train from scratch."""
-    if cfg.checkpoint_path:
-        model = load_checkpoint(cfg.checkpoint_path)
-        if model.T != cfg.T:
-            raise ConfigError(
-                f"checkpoint window length {model.T} != configured T={cfg.T}"
-            )
-        prices = np.asarray(prices, dtype=float)
-        return TrainedPipeline(
-            model=model,
-            report=TrainReport(),
-            d=0,
-            reference=prices[-cfg.T :],
-        )
-    return train_gan(cfg, prices)
+    if not cfg.checkpoint_path:
+        return train_gan(cfg, prices).model
+    model = load_checkpoint(cfg.checkpoint_path)
+    if model.T != cfg.T:
+        raise ConfigError(f"checkpoint window length {model.T} != configured T={cfg.T}")
+    return model
 
 
-def selected_tracks(pipe: TrainedPipeline, cfg: ExperimentConfig) -> np.ndarray:
-    """Sample N2 tracks and keep the ones most similar to the last window."""
-    tracks = sample(pipe.model, cfg.n2, cfg.seed)
-    ranking = rank_and_select(tracks, pipe.reference, cfg.alpha)
+def selected_tracks(model: GanModel, reference: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+    """Sample N2 tracks and keep the ones most similar to the reference window."""
+    tracks = sample(model, cfg.n2, cfg.seed)
+    ranking = rank_and_select(tracks, reference, cfg.alpha)
     return tracks[ranking.selected]
 
 
@@ -296,12 +293,19 @@ def _load_prices(cfg: ExperimentConfig) -> PriceSeries:
     return _stage("market_data", load_price_series, cfg.prices_path, cfg.symbol)
 
 
-def _retained(cfg: ExperimentConfig) -> tuple[PriceSeries, np.ndarray]:
-    """Load the history, obtain the model, and keep the most similar of N2 tracks."""
+def _retained(
+    cfg: ExperimentConfig, stage: str = "", t0s: Iterable[float] = ()
+) -> tuple[PriceSeries, np.ndarray]:
+    """Every GAN-MC command's tracks: check each payoff day in `t0s` under
+    `stage` (so a bad day fails before any training), then load the history,
+    obtain the model and keep the most similar of N2 tracks to the last T prices.
+    """
+    for t0_years in t0s:
+        _stage(stage, payoff_index, t0_years, cfg.dt, cfg.T)
     series = _load_prices(cfg)
     prices = np.asarray(series.prices, dtype=float)
-    pipe = _stage("gan_core", obtain_model, cfg, prices)
-    return series, _stage("similarity", selected_tracks, pipe, cfg)
+    model = _stage("gan_core", obtain_model, cfg, prices)
+    return series, _stage("similarity", selected_tracks, model, prices[-cfg.T :], cfg)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
@@ -309,9 +313,8 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     started = time.monotonic()
     contracts = _stage("market_data", load_contracts, cfg.contracts_path)
     if cfg.model == "gan-mc":
-        for row in contracts:
-            _stage("pricing_options", payoff_index, row.contract.t0_years, cfg.dt, cfg.T)
-        series, tracks = _retained(cfg)
+        t0s = [row.contract.t0_years for row in contracts]
+        series, tracks = _retained(cfg, "pricing_options", t0s)
     else:
         series = _load_prices(cfg)
     spot = series.prices[-1]
@@ -403,11 +406,9 @@ def write_report(report: EvalReport, out_path: str) -> None:
 
 def generate_tracks_csv(cfg: ExperimentConfig, count: int, out_path: str) -> None:
     """Write `count` of the most market-like generated tracks as plot-ready CSV."""
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
     keep = retained_count(cfg.n2, cfg.alpha)
-    if count > keep:
-        raise ConfigError(f"count {count} exceeds retained set size {keep}")
+    if not 1 <= count <= keep:
+        raise ConfigError(f"count must be in 1..{keep}, the retained set size, got {count}")
     _, tracks = _retained(cfg)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -427,8 +428,8 @@ def price_equity_futures_pipeline(cfg: ExperimentConfig, t0_years: float) -> flo
         raise ConfigError("equity futures pricing needs [data] dividends")
     dividends = _stage("market_data", load_dividends, cfg.dividends_path, cfg.symbol)
     fit = _stage("pricing_futures", fit_dividends, dividends)
+    series, tracks = _retained(cfg, "pricing_futures", [t0_years])
     k = payoff_index(t0_years, cfg.dt, cfg.T)
-    series, tracks = _retained(cfg)
     t_star = int(np.busday_count(dividends.origin, series.dates[-1])) + k
     forecast = predict_dividend(fit, t_star)
     return _stage(
@@ -451,8 +452,7 @@ def price_commodity_pipeline(cfg: ExperimentConfig, t0_years: float) -> float:
         "market_data", load_quotes, cfg.quotes_path, cfg.quote_id or cfg.symbol
     )
     carry = _stage("pricing_futures", estimate_carry, quotes, cfg.r, t0_years, cfg.n3)
-    _stage("pricing_futures", payoff_index, t0_years, cfg.dt, cfg.T)
-    _, tracks = _retained(cfg)
+    _, tracks = _retained(cfg, "pricing_futures", [t0_years])
     return _stage(
         "pricing_futures", price_commodity, tracks, carry, cfg.r, t0_years, cfg.dt
     )
@@ -460,6 +460,5 @@ def price_commodity_pipeline(cfg: ExperimentConfig, t0_years: float) -> float:
 
 def price_option_pipeline(cfg: ExperimentConfig, contract: OptionContract) -> float:
     """End-to-end option price from the configured price history."""
-    _stage("pricing_options", payoff_index, contract.t0_years, cfg.dt, cfg.T)
-    _, tracks = _retained(cfg)
+    _, tracks = _retained(cfg, "pricing_options", [contract.t0_years])
     return _stage("pricing_options", price_option, contract, tracks, cfg.r, cfg.dt).value

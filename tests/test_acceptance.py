@@ -199,7 +199,7 @@ def synthetic_market():
     )
     started = time.monotonic()
     pipe = train_gan(cfg, prices)
-    tracks = selected_tracks(pipe, cfg)
+    tracks = selected_tracks(pipe.model, pipe.reference, cfg)
     elapsed = time.monotonic() - started
     return prices, cfg, pipe, tracks, elapsed
 

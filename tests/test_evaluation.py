@@ -440,7 +440,7 @@ class TestCli:
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "r1.csv.meta.txt").exists()
 
-    def test_missing_file_exit_one(self, fixture_files, tmp_path):
+    def test_missing_file_exit_two(self, fixture_files, tmp_path):
         _, _, contracts_path, _, _ = fixture_files
         cfg_path = write_config(
             tmp_path / "cfg.txt",
@@ -511,7 +511,7 @@ class TestPriceCommands:
         cfg_path = write_config(root / "saved.cfg", gan__checkpoint=checkpoint, **base)
         cfg = parse_config(cfg_path)
         prices = np.asarray(load_price_series(cfg.prices_path, cfg.symbol).prices)
-        tracks = selected_tracks(obtain_model(cfg, prices), cfg)
+        tracks = selected_tracks(obtain_model(cfg, prices), prices[-cfg.T :], cfg)
         return cfg_path, cfg, prices, tracks
 
     def _printed(self, capsys, cfg_path, *argv):
@@ -552,7 +552,7 @@ class TestPriceCommands:
         )
         cfg = parse_config(cfg_path)
         prices = np.asarray(load_price_series(cfg.prices_path, cfg.symbol).prices)
-        tracks = selected_tracks(obtain_model(cfg, prices), cfg)
+        tracks = selected_tracks(obtain_model(cfg, prices), prices[-cfg.T :], cfg)
         forecast = 1.0 + 0.1 * 509 / 63
         expected = price_equity_futures(prices[-1], tracks, forecast, cfg.r, self.T0, cfg.dt)
         printed = self._printed(capsys, cfg_path, "price-equity-futures", "--t0", repr(self.T0))
@@ -616,7 +616,7 @@ class TestFailBeforeTraining:
         assert (code, no_training) == (1, [])
 
     @pytest.mark.parametrize("t0", [0.3, 5.0], ids=["fractional_day", "beyond_T"])
-    @pytest.mark.parametrize("command", ["price-option", "price-commodity"])
+    @pytest.mark.parametrize("command", ["price-option", "price-equity-futures", "price-commodity"])
     def test_bad_payoff_day(self, command_files, tmp_path, no_training, command, t0):
         # T=16 days: 0.3 years is 75.6 days, 5 years is 1260
         option = ["--side", "call", "--strike", "100"] if command == "price-option" else []
@@ -634,6 +634,27 @@ class TestFailBeforeTraining:
             command_files, tmp_path, ["--out", str(tmp_path / "report.csv"), "evaluate"],
             contracts__file=contracts,
         )
+        assert (code, no_training) == (1, [])
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("price-option", "model__N2", "0"), ("price-option", "model__N2", "-5"),
+         ("price-option", "model__dt", "0"), ("generate", "model__dt", "0")],
+        ids=["N2_zero", "N2_negative", "dt_zero", "generate_dt_zero"],
+    )
+    def test_bad_model_value(self, command_files, tmp_path, no_training, command, key, value):
+        argv = {
+            "price-option": ["price-option", "--side", "call", "--strike", "100",
+                             "--t0", repr(10 / 252)],
+            "generate": ["--out", str(tmp_path / "tracks.csv"), "generate", "--count", "5"],
+        }[command]
+        code = self._exit_code(command_files, tmp_path, argv, **{key: value})
+        assert (code, no_training) == (1, [])
+
+    @pytest.mark.parametrize("command", [["train"], ["generate", "--count", "5"], ["evaluate"]],
+                             ids=["train", "generate", "evaluate"])
+    def test_missing_out(self, command_files, tmp_path, no_training, command):
+        code = self._exit_code(command_files, tmp_path, command)
         assert (code, no_training) == (1, [])
 
     def test_generate_count_beyond_retained_set(self, command_files, tmp_path, no_training):
