@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("evaluate", help="price the contract fixture and report MAPE")
 
-    base = sub.add_parser("baseline", help="closed-form or GBM-MC price for one option")
+    base = sub.add_parser("baseline", help="European closed-form or GBM-MC price for one option")
     base.add_argument("--model", choices=["bs", "mc"], required=True)
     base.add_argument("--side", choices=["call", "put"], required=True)
     base.add_argument("--style", choices=["european", "american"], default="european")
@@ -109,6 +109,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "baseline":
+        if args.model == "bs" and args.style == "american":
+            raise ConfigError("baseline --model bs prices European options only")
         from .baselines import bs_price, gbm_mc_option
 
         series = load_price_series(cfg.prices_path, cfg.symbol)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
@@ -133,7 +134,8 @@ _SECTIONS = {section for section, _ in _CONFIG_SCHEMA}
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a key=value config file; unknown sections or keys are errors."""
+    """Parse a key=value config file; unknown sections or keys and non-finite
+    floats are errors."""
     values: dict[str, object] = {}
     section = None
     with open(path, encoding="utf-8") as fh:
@@ -158,6 +160,8 @@ def parse_config(path) -> ExperimentConfig:
             name, parser = _CONFIG_SCHEMA[(section, key)]
             try:
                 values[name] = parser(value)
+                if parser is float and not math.isfinite(values[name]):
+                    raise ValueError
             except ValueError:
                 raise ConfigError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
     return ExperimentConfig(**values)
@@ -176,12 +180,17 @@ class ContractRow:
 
 
 def load_contracts(path) -> list[ContractRow]:
-    """Load an option-contract fixture CSV: side,style,strike,t0_years,sigma,actual."""
+    """Load an option-contract fixture CSV: side,style,strike,t0_years,sigma,actual.
+
+    Every number must be finite.
+    """
     header = ["side", "style", "strike", "t0_years", "sigma", "actual"]
     contracts = []
     for i, (side, style, *numbers) in read_rows(path, header):
         try:
             strike, t0_years, sigma, actual = map(float, numbers)
+            if not all(map(math.isfinite, (strike, t0_years, sigma, actual))):
+                raise ValueError
             contract = OptionContract(side.strip(), style.strip(), strike, t0_years)
         except PricingError as exc:
             raise MarketDataError(f"{path}: {exc} at row {i}") from None
@@ -319,6 +328,7 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
         series = _load_prices(cfg)
     spot = series.prices[-1]
 
+    split = 0
     if cfg.model.startswith("lr"):
         split = cfg.lr_train_rows
         if not (0 < split < len(contracts)):
@@ -332,12 +342,10 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
             for row in contracts[:split]
         ]
         pricer = _stage("baselines", fit_linear_pricer, train_rows, regime)
-        test = contracts[split:]
-    else:
-        test = contracts
 
     rows: list[tuple[str, float, float, float]] = []
-    for i, row in enumerate(test):
+    # ids are fixture row positions, so an lr report names the rows it tested
+    for i, row in enumerate(contracts[split:], start=split):
         contract_id = str(i)
         c = row.contract
         if cfg.model == "bs":

@@ -22,13 +22,10 @@ class DividendFit:
 
     slope: float
     intercept: float
-    n_points: int
 
     def __post_init__(self):
         if not (math.isfinite(self.slope) and math.isfinite(self.intercept)):
             raise PricingError("dividend fit is not finite")
-        if self.n_points < 1:
-            raise PricingError("dividend fit needs at least 1 point")
 
 
 @dataclass(frozen=True)
@@ -46,21 +43,18 @@ class CarryEstimate:
 def fit_dividends(ds: DividendSeries) -> DividendFit:
     """Least-squares line D(t) = slope*t + intercept over the dividend history.
 
-    Degenerate inputs (single point or all-equal indices) fall back to a
-    flat line at the mean dividend.
+    A single point has no spread in t and falls back to a flat line at
+    its dividend.
     """
     t = np.asarray(ds.indices, dtype=float)
     d = np.asarray(ds.dps, dtype=float)
-    n = t.shape[0]
-    if n == 0:
-        raise PricingError("empty dividend series")
     t_bar = t.mean()
     sxx = float(((t - t_bar) ** 2).sum())
-    if n == 1 or sxx == 0.0:
-        return DividendFit(slope=0.0, intercept=float(d.mean()), n_points=n)
+    if sxx == 0.0:
+        return DividendFit(slope=0.0, intercept=float(d.mean()))
     slope = float(((t - t_bar) * (d - d.mean())).sum() / sxx)
     intercept = float(d.mean() - slope * t_bar)
-    return DividendFit(slope=slope, intercept=intercept, n_points=n)
+    return DividendFit(slope=slope, intercept=intercept)
 
 
 def predict_dividend(fit: DividendFit, t_star: float) -> float:

@@ -6,12 +6,17 @@ and quotes are indexed by their position in date order, so holidays and
 weekends are simply absent rows. Dividends are indexed by business days
 (Monday to Friday) from the first dividend date, so a sparse file, such
 as one row a quarter, keeps its spacing.
+
+Every value is checked here, as it is read: each number must be finite
+and meet its column's sign rule, and dates must be unique. The records
+built from a file rely on those checks and do not repeat them.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +38,8 @@ class PriceSeries:
     prices: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.dates) != len(self.prices):
-            raise MarketDataError("dates and prices length mismatch")
         if len(self.prices) < 2:
             raise MarketDataError(f"{self.symbol}: need at least 2 observations")
-        for i, p in enumerate(self.prices):
-            if not (p > 0):
-                raise MarketDataError(f"{self.symbol}: non-positive price {p} at row {i}")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise MarketDataError(f"{self.symbol}: dates not strictly increasing at {b}")
 
     def __len__(self) -> int:
         return len(self.prices)
@@ -58,16 +55,9 @@ class DividendSeries:
     dps: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.indices) != len(self.dps):
-            raise MarketDataError("indices and dps length mismatch")
-        if not self.indices:
-            raise MarketDataError(f"{self.symbol}: no observations")
         for a, b in zip(self.indices, self.indices[1:]):
             if a >= b:
                 raise MarketDataError(f"{self.symbol}: indices not strictly increasing")
-        for i, d in enumerate(self.dps):
-            if d < 0:
-                raise MarketDataError(f"{self.symbol}: negative dividend {d} at row {i}")
 
     def __len__(self) -> int:
         return len(self.dps)
@@ -82,23 +72,6 @@ class QuoteSeries:
     last: tuple[float, ...]
     ttd_years: tuple[float, ...]
     spot: tuple[float, ...]
-
-    def __post_init__(self):
-        n = len(self.dates)
-        if not (len(self.last) == len(self.ttd_years) == len(self.spot) == n):
-            raise MarketDataError("quote column length mismatch")
-        if n == 0:
-            raise MarketDataError(f"{self.contract_id}: no observations")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise MarketDataError(f"{self.contract_id}: dates not strictly increasing")
-        for i in range(n):
-            if not (self.last[i] > 0):
-                raise MarketDataError(f"{self.contract_id}: non-positive last price at row {i}")
-            if self.ttd_years[i] < 0:
-                raise MarketDataError(f"{self.contract_id}: negative time-to-delivery at row {i}")
-            if not (self.spot[i] > 0):
-                raise MarketDataError(f"{self.contract_id}: non-positive spot at row {i}")
 
     def __len__(self) -> int:
         return len(self.last)
@@ -144,7 +117,7 @@ _COLUMN_RULES = {
 def _read_dated(path, columns: tuple[str, ...]) -> tuple[tuple, ...]:
     """Read a `date,<columns>` CSV whose rows may appear in any order.
 
-    Returns the dates in increasing order, then one tuple of values per column.
+    Returns the dates in increasing order, then one tuple of finite values per column.
     """
     values = {}
     for i, row in read_rows(path, ["date", *columns]):
@@ -158,10 +131,12 @@ def _read_dated(path, columns: tuple[str, ...]) -> tuple[tuple, ...]:
         for col, cell in zip(columns, row[1:]):
             try:
                 v = float(cell)
+                if not math.isfinite(v):
+                    raise ValueError
             except ValueError:
                 raise MarketDataError(f"{path}: bad {col} {cell!r} at row {i}") from None
             positive, what = _COLUMN_RULES[col]
-            if (not v > 0) if positive else v < 0:
+            if v <= 0 if positive else v < 0:
                 raise MarketDataError(f"{path}: {what} {v} at row {i}")
             parsed.append(v)
         values[date] = parsed

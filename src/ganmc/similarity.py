@@ -24,10 +24,6 @@ class SimilarityRanking:
     scores: np.ndarray    # shape (N2,), in [0, 1]
     selected: np.ndarray  # 0-based indices of retained tracks, ascending score
 
-    def __post_init__(self):
-        if len(self.selected) < 1:
-            raise SimilarityError("retained index set is empty")
-
 
 def tsim(x, y) -> float:
     """Mean per-element similarity of two equal-length tracks; 1.0 means identical."""

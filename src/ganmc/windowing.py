@@ -33,14 +33,6 @@ class WindowSet:
     windows: np.ndarray  # shape (count, T)
     d: int
     T: int
-    n: int
-
-    def __post_init__(self):
-        expected = (self.n - self.T) // self.d + 1
-        if self.windows.shape != (expected, self.T):
-            raise WindowingError(
-                f"window matrix shape {self.windows.shape} != ({expected}, {self.T})"
-            )
 
     def __len__(self) -> int:
         return self.windows.shape[0]
@@ -60,7 +52,7 @@ def partition(values: Sequence[float] | np.ndarray, d: int, T: int) -> WindowSet
         raise WindowingError(f"stride {d} exceeds window length {T}")
     count = (n - T) // d + 1
     windows = np.stack([src[k * d : k * d + T] for k in range(count)])
-    return WindowSet(windows=windows, d=d, T=T, n=n)
+    return WindowSet(windows=windows, d=d, T=T)
 
 
 def search_stride(
@@ -76,8 +68,6 @@ def search_stride(
     src = np.asarray(values, dtype=float)
     if n1 < 1:
         raise WindowingError(f"N1 must be >= 1, got {n1}")
-    if T > src.shape[0]:
-        raise WindowingError(f"series too short: T={T} > n={src.shape[0]}")
     diagnostics: dict[int, str] = {}
     for d in range(1, T + 1):
         ws = partition(src, d, T)

@@ -217,6 +217,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "line", ["r = nan", "dt = inf", "alpha = -inf"], ids=["r_nan", "dt_inf", "alpha_minus_inf"]
+    )
+    def test_non_finite_float_is_bad_value(self, tmp_path, line):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"[model]\n{line}\n")
+        with pytest.raises(ConfigError, match=r"cfg\.txt:2: bad value"):
+            parse_config(path)
+
     def test_unknown_model_kind(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("[model]\nkind = perceptron\n")
@@ -280,7 +289,7 @@ class TestRunPipeline:
             model__kind="lr", contracts__lr_train_rows="15",
         )
         report = run_pipeline(parse_config(cfg_path))
-        assert len(report.rows) == 5
+        assert [row[0] for row in report.rows] == [str(i) for i in range(15, 20)]
         assert report.mape_percent < 0.1  # affine data is recovered
 
     def test_gan_mc_small_run(self, tmp_path):
@@ -478,6 +487,21 @@ class TestCli:
         assert code == 0
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(bs_price("call", spot, 100.0, 0.05, 0.2, 0.25), abs=1e-6)
+
+    def test_baseline_bs_rejects_american(self, fixture_files, tmp_path, capsys):
+        _, prices_path, contracts_path, _, _ = fixture_files
+        cfg_path = write_config(
+            tmp_path / "cfg.txt",
+            data__prices=prices_path, contracts__file=contracts_path,
+        )
+        code = cli_main([
+            "--config", str(cfg_path), "baseline", "--model", "bs", "--style", "american",
+            "--side", "put", "--strike", "100", "--t0", "0.25", "--sigma", "0.2",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "European options only" in captured.err
 
 
 @pytest.fixture(scope="module")

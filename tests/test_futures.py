@@ -71,17 +71,17 @@ class TestPredictDividend:
     def test_affine_prediction(self):
         from ganmc.futures import DividendFit
 
-        assert predict_dividend(DividendFit(2.0, 3.0, 5), 5.0) == 13.0
+        assert predict_dividend(DividendFit(2.0, 3.0), 5.0) == 13.0
 
     def test_negative_clamped(self):
         from ganmc.futures import DividendFit
 
-        assert predict_dividend(DividendFit(-1.0, 2.0, 5), 10.0) == 0.0
+        assert predict_dividend(DividendFit(-1.0, 2.0), 10.0) == 0.0
 
     def test_zero_fit(self):
         from ganmc.futures import DividendFit
 
-        assert predict_dividend(DividendFit(0.0, 0.0, 1), 100.0) == 0.0
+        assert predict_dividend(DividendFit(0.0, 0.0), 100.0) == 0.0
 
 
 class TestPriceEquityFutures:

@@ -152,3 +152,14 @@ def test_shared_reader_rules(tmp_path, kind):
     path.write_text(f"{header}\n{first}\n\n{second},1\n")
     with pytest.raises(MarketDataError, match=f"expected {columns} columns at row 4"):
         load(path)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_non_finite_value_rejected(tmp_path, kind, value):
+    """A non-finite number in any file's last column is a bad value of its row."""
+    load, header, (first, second) = LOADERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n{first}\n{second.rsplit(',', 1)[0]},{value}\n")
+    with pytest.raises(MarketDataError, match=rf"{kind}\.csv: bad .*at row 3"):
+        load(path)
