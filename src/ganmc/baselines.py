@@ -1,9 +1,10 @@
 """Reference pricers: Black-Scholes, GBM Monte Carlo, linear regression.
 
-The GBM simulator uses the exact lognormal daily step, so paths stay
-positive regardless of the step size. The Monte Carlo option baseline
-anchors the drift to the strike (log(X/s)/tau) by default;
-`risk_neutral=True` switches to the risk-neutral drift r.
+The GBM simulator draws each terminal price in one exact lognormal step
+over the whole horizon tau, so it is positive and has GBM's law at tau
+for any tau. The Monte Carlo option baseline anchors the drift to the
+strike (log(X/s)/tau) by default; `risk_neutral=True` switches to the
+risk-neutral drift r. dt only sets the discrete discount.
 """
 
 from __future__ import annotations
@@ -52,22 +53,14 @@ def bs_price(side: str, spot: float, strike: float, r: float, sigma: float, tau:
 
 
 def simulate_gbm_terminals(
-    spot: float,
-    mu: float,
-    sigma: float,
-    tau: float,
-    n_paths: int,
-    seed: int,
-    dt: float = DEFAULT_DT,
+    spot: float, mu: float, sigma: float, tau: float, n_paths: int, seed: int
 ) -> np.ndarray:
-    """Terminal prices after round(tau/dt) exact lognormal daily steps."""
+    """GBM prices at tau, one exact lognormal draw per path:
+    spot * exp((mu - sigma^2/2) * tau + sigma * sqrt(tau) * z)."""
     if n_paths < 1:
         raise PricingError(f"need at least one path, got {n_paths}")
-    steps = max(int(round(tau / dt)), 1)
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((n_paths, steps))
-    log_increments = (mu - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * eps
-    return spot * np.exp(log_increments.sum(axis=1))
+    z = np.random.default_rng(seed).standard_normal(n_paths)
+    return spot * np.exp((mu - 0.5 * sigma * sigma) * tau + sigma * math.sqrt(tau) * z)
 
 
 def gbm_mc_option(
@@ -92,7 +85,7 @@ def gbm_mc_option(
     # the simulator subtracts sigma^2/2 itself, so the risk-neutral
     # price drift is plain r
     mu = r if risk_neutral else math.log(strike / spot) / tau
-    terminal = simulate_gbm_terminals(spot, mu, sigma, tau, n_paths, seed, dt)
+    terminal = simulate_gbm_terminals(spot, mu, sigma, tau, n_paths, seed)
     return price_terminals(side, style, terminal, strike, r, tau, dt).value
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestGbmMcOption:
         price = gbm_mc_option("call", 100.0, 90.0, 0.0, 0.0, 0.25, 100, seed=0)
         # drift log(90/100)/0.25 pushes the terminal to exactly 90
         assert price == pytest.approx(0.0, abs=1e-9)
+
+    def test_zero_vol_terminal_hits_strike_off_grid(self):
+        # tau = 0.3 is 75.6 days; the anchored drift must reach the strike at
+        # tau itself, not at a whole number of days. With r = 0 and sigma = 0
+        # one of call and put is 0 and the other is |terminal - strike|.
+        call = gbm_mc_option("call", 100.0, 90.0, 0.0, 0.0, 0.3, 100, seed=0)
+        put = gbm_mc_option("put", 100.0, 90.0, 0.0, 0.0, 0.3, 100, seed=0)
+        assert call + put == pytest.approx(0.0, abs=1e-9)
 
     def test_risk_neutral_matches_black_scholes(self):
         price = gbm_mc_option(
@@ -150,8 +159,45 @@ class TestLinearPricer:
         np.testing.assert_allclose(pricer.coefficients, beta, rtol=1e-7)
 
 
+def daily_step_terminals(spot, mu, sigma, tau, n_paths, seed, dt=DT):
+    """Oracle only: round(tau/dt) exact lognormal daily steps per path (at
+    least one), summed in log space; the one-draw simulator must match its law."""
+    steps = max(int(round(tau / dt)), 1)
+    eps = np.random.default_rng(seed).standard_normal((n_paths, steps))
+    log_increments = (mu - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * eps
+    return spot * np.exp(log_increments.sum(axis=1))
+
+
 class TestSimulator:
     def test_terminal_distribution_moments(self):
         terminals = simulate_gbm_terminals(100.0, 0.05, 0.2, 1.0, 10**5, seed=11)
         assert terminals.mean() == pytest.approx(100.0 * math.exp(0.05), rel=0.01)
         assert np.all(terminals > 0)
+
+    def test_one_draw_matches_daily_step_law(self):
+        from scipy.stats import ks_2samp
+
+        mu, sigma = 0.05, 0.2
+        for seed in (1, 2, 3):
+            one = simulate_gbm_terminals(100.0, mu, sigma, 0.25, 5000, seed=seed)
+            daily = daily_step_terminals(100.0, mu, sigma, 0.25, 5000, seed=100 + seed)
+            assert ks_2samp(one, daily).pvalue > 1e-3
+
+        n = 10**5
+        # 0.001 years is a quarter of a day: a one-day floor doubles the std
+        for tau in (0.25, 0.001):
+            logs = np.log(simulate_gbm_terminals(100.0, mu, sigma, tau, n, seed=5) / 100.0)
+            scale = sigma * math.sqrt(tau)
+            drift = (mu - 0.5 * sigma**2) * tau
+            assert logs.mean() == pytest.approx(drift, abs=5 * scale / math.sqrt(n))
+            assert logs.std() == pytest.approx(scale, rel=0.01)
+
+    def test_memory_is_linear_in_paths(self):
+        # a (paths, days) matrix of normals at 63 days would take 2.6 MB
+        tracemalloc.start()
+        try:
+            simulate_gbm_terminals(98.0, 0.01, 0.2, 0.25, 5120, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 5120 * 4
