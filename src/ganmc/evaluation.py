@@ -28,7 +28,7 @@ from .futures import (
     price_commodity,
     price_equity_futures,
 )
-from .gan import GanConfig, GanError, GanModel, TrainReport, load_checkpoint, sample, train
+from .gan import GanConfig, GanModel, TrainReport, load_checkpoint, sample, train
 from .market_data import (
     DEFAULT_DT,
     MarketDataError,
@@ -67,13 +67,22 @@ def _key(section: str, key: str, default):
     return field(default=default, metadata={"key": (section, key)})
 
 
+_GAN_DEFAULTS = {f.name: f.default for f in fields(GanConfig)}
+
+
+def _gan_key(section: str, key: str):
+    """A ``_key`` field named like its key, with the default of GanConfig's field."""
+    return _key(section, key, _GAN_DEFAULTS[key])
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: data files, model kind and hyperparameters.
 
     Each field declares its config file key through ``_key``, and a value
     is parsed with the field's type; a field that ``GanConfig`` shares by
-    name is handed to the GAN (``gan_config_from``).
+    name is handed to the GAN (``gan_config_from``), and all of them but T
+    take their default from ``GanConfig`` (``_gan_key``).
 
     The stride probe is the first min(probe_epochs, epochs) epochs of the
     full GAN training run (see ``train_gan``), so a probe_epochs above
@@ -95,18 +104,18 @@ class ExperimentConfig:
     n2: int = _key("model", "N2", 5120)
     n3: int = _key("model", "N3", 50)
     alpha: float = _key("model", "alpha", 0.8)
-    seed: int = _key("model", "seed", 0)
-    noise_dim: int = _key("gan", "noise_dim", 32)
-    epochs: int = _key("gan", "epochs", 2000)
-    batch_size: int = _key("gan", "batch_size", 64)
-    lr_generator: float = _key("gan", "lr_generator", 2e-4)
-    lr_discriminator: float = _key("gan", "lr_discriminator", 2e-4)
-    beta1: float = _key("gan", "beta1", 0.5)
-    beta2: float = _key("gan", "beta2", 0.999)
-    adam_eps: float = _key("gan", "adam_eps", 1e-8)
-    delta_loss: float = _key("gan", "delta_loss", 0.05)
-    eps_std: float = _key("gan", "eps_std", 1e-4)
-    k_epochs: int = _key("gan", "k_epochs", 20)
+    seed: int = _gan_key("model", "seed")
+    noise_dim: int = _gan_key("gan", "noise_dim")
+    epochs: int = _gan_key("gan", "epochs")
+    batch_size: int = _gan_key("gan", "batch_size")
+    lr_generator: float = _gan_key("gan", "lr_generator")
+    lr_discriminator: float = _gan_key("gan", "lr_discriminator")
+    beta1: float = _gan_key("gan", "beta1")
+    beta2: float = _gan_key("gan", "beta2")
+    adam_eps: float = _gan_key("gan", "adam_eps")
+    delta_loss: float = _gan_key("gan", "delta_loss")
+    eps_std: float = _gan_key("gan", "eps_std")
+    k_epochs: int = _gan_key("gan", "k_epochs")
     probe_epochs: int = _key("gan", "probe_epochs", 200)
     checkpoint_path: str = _key("gan", "checkpoint", "")
 
@@ -121,6 +130,8 @@ class ExperimentConfig:
             raise ConfigError(f"N2 must be >= 1, got {self.n2}")
         if not self.dt > 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
+        if self.probe_epochs < 1:
+            raise ConfigError(f"probe_epochs must be positive, got {self.probe_epochs}")
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
@@ -247,8 +258,6 @@ def train_gan(cfg: ExperimentConfig, prices: np.ndarray) -> TrainedPipeline:
     after the probe epochs raises CollapseError.
     """
     prices = np.asarray(prices, dtype=float)
-    if cfg.probe_epochs < 1:
-        raise GanError(f"probe_epochs must be positive, got {cfg.probe_epochs}")
     probe_epochs = min(cfg.probe_epochs, cfg.epochs)
     # the model's window transform maps the generator's standardised log
     # coordinates back to prices in the history's own unit, so no

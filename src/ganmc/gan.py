@@ -23,9 +23,7 @@ rows*cols f64 weights (row-major) and rows f64 biases; then the f64
 output scale; the u32 knot count K of the window transform, then f64
 mean[T], std[T], level_knots[K] and normal_knots[K] (nothing when K=0:
 no transform); and a trailing u32 CRC32 of all preceding bytes.
-Activation tags: 0 relu, 1 sigmoid, 2 tanh, 3 identity, 4 exp. Format 1,
-still read, has no transform section; its trained generators end in an
-exp layer with the inverse transform folded in. The stored
+Activation tags: 0 relu, 1 sigmoid, 2 tanh, 3 identity. The stored
 discriminator consumes standardised log coordinates, not prices.
 """
 
@@ -42,7 +40,7 @@ import numpy as np
 CHECKPOINT_MAGIC = b"GMC1"
 CHECKPOINT_VERSION = 2
 
-_ACT_TO_TAG = {"relu": 0, "sigmoid": 1, "tanh": 2, "identity": 3, "exp": 4}
+_ACT_TO_TAG = {"relu": 0, "sigmoid": 1, "tanh": 2, "identity": 3}
 _TAG_TO_ACT = {v: k for k, v in _ACT_TO_TAG.items()}
 
 # positive floor for sampled prices, as a fraction of the scale
@@ -74,8 +72,7 @@ class CheckpointError(ValueError):
 
 
 def _relu(z: np.ndarray) -> np.ndarray:
-    # in place on the caller's fresh pre-activation; the derivative's mask
-    # z > 0 reads the same from the output
+    # in place on the caller's fresh pre-activation
     return np.maximum(z, 0.0, out=z)
 
 
@@ -87,25 +84,13 @@ def _identity(z: np.ndarray) -> np.ndarray:
     return z
 
 
-# activation -> (function, delta times its derivative at z given the output a)
+# activation -> (function, delta times its derivative, given the output a)
 _ACTIVATIONS = {
-    "relu": (_relu, lambda delta, z, a: delta * (z > 0.0)),
-    "sigmoid": (_sigmoid, lambda delta, z, a: delta * (a * (1.0 - a))),
-    "tanh": (np.tanh, lambda delta, z, a: delta * (1.0 - a * a)),
-    "identity": (_identity, lambda delta, z, a: delta),
-    "exp": (np.exp, lambda delta, z, a: delta * a),
+    "relu": (_relu, lambda delta, a: delta * (a > 0.0)),
+    "sigmoid": (_sigmoid, lambda delta, a: delta * (a * (1.0 - a))),
+    "tanh": (np.tanh, lambda delta, a: delta * (1.0 - a * a)),
+    "identity": (_identity, lambda delta, a: delta),
 }
-
-
-def _layer_views(flat: np.ndarray, shapes) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight and bias views into one vector laid out w0, b0, w1, b1, ..."""
-    weights, biases, pos = [], [], 0
-    for rows, cols in shapes:
-        weights.append(flat[pos : pos + rows * cols].reshape(rows, cols))
-        pos += rows * cols
-        biases.append(flat[pos : pos + rows])
-        pos += rows
-    return weights, biases
 
 
 @dataclass
@@ -140,8 +125,14 @@ class MlpParams:
         self.weights, self.biases = weights, biases
 
     def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-layer views into a vector laid out like ``params``."""
-        return _layer_views(flat, [w.shape for w in self.weights])
+        """Per-layer views into a vector laid out like ``params``: w0, b0, w1, b1, ..."""
+        weights, biases, pos = [], [], 0
+        for rows, cols in (w.shape for w in self.weights):
+            weights.append(flat[pos : pos + rows * cols].reshape(rows, cols))
+            pos += rows * cols
+            biases.append(flat[pos : pos + rows])
+            pos += rows
+        return weights, biases
 
     @property
     def layer_dims(self) -> list[int]:
@@ -169,16 +160,15 @@ def init_mlp(dims: list[int], activations: list[str], rng: np.random.Generator) 
 
 
 def _forward_cached(net: MlpParams, x: np.ndarray):
-    """Batch forward pass keeping pre- and post-activation values per layer."""
+    """Batch forward pass keeping each layer's output."""
     a = x
-    pre, post = [], []
+    post = []
     for w, b, act in zip(net.weights, net.biases, net.activations):
         z = a @ w.T
         z += b
         a = _ACTIVATIONS[act][0](z)
-        pre.append(z)
         post.append(a)
-    return a, (x, pre, post)
+    return a, (x, post)
 
 
 def forward(net: MlpParams, x) -> np.ndarray:
@@ -198,39 +188,36 @@ def forward(net: MlpParams, x) -> np.ndarray:
     return out[0] if single else out
 
 
-def _backward_cached(net: MlpParams, cache, upstream: np.ndarray, grad_w=None, grad_b=None,
-                     input_grad: bool = True):
+def _backward_cached(net: MlpParams, cache, upstream: np.ndarray, grad_w=None, grad_b=None):
     """Backpropagate sum(upstream * output) through a cached forward pass.
 
-    Parameter gradients are written into the per-layer arrays grad_w and
-    grad_b when given and skipped otherwise. Returns the gradient with
-    respect to the input, or None when input_grad is False.
+    With the per-layer arrays grad_w and grad_b, writes the parameter
+    gradients into them and returns None; without them, returns the
+    gradient with respect to the input.
     """
-    x, pre, post = cache
+    x, post = cache
     delta = upstream
     for l in range(len(net.weights) - 1, -1, -1):
-        delta = _ACTIVATIONS[net.activations[l]][1](delta, pre[l], post[l])
+        delta = _ACTIVATIONS[net.activations[l]][1](delta, post[l])
         if grad_w is not None:
             np.matmul(delta.T, post[l - 1] if l > 0 else x, out=grad_w[l])
             np.sum(delta, axis=0, out=grad_b[l])
-        if l > 0 or input_grad:
+        if l > 0 or grad_w is None:
             delta = delta @ net.weights[l]
-    return delta if input_grad else None
+    return None if grad_w is not None else delta
 
 
 @dataclass
 class MlpGrads:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    inputs: np.ndarray
 
 
 def backward(net: MlpParams, x, upstream) -> MlpGrads:
     """Backpropagate an upstream output gradient to every weight and bias."""
     xv = np.asarray(x, dtype=float)
     uv = np.asarray(upstream, dtype=float)
-    single = xv.ndim == 1
-    if single:
+    if xv.ndim == 1:
         xv = xv[None, :]
         uv = uv[None, :]
     if xv.shape[1] != net.layer_dims[0]:
@@ -239,8 +226,8 @@ def backward(net: MlpParams, x, upstream) -> MlpGrads:
         raise GanError(f"upstream shape {uv.shape} inconsistent with output dim")
     _, cache = _forward_cached(net, xv)
     gw, gb = net.views(np.empty_like(net.params))
-    gx = _backward_cached(net, cache, uv, gw, gb)
-    return MlpGrads(weights=gw, biases=gb, inputs=gx[0] if single else gx)
+    _backward_cached(net, cache, uv, gw, gb)
+    return MlpGrads(weights=gw, biases=gb)
 
 
 class Adam:
@@ -328,7 +315,7 @@ class GanModel:
     generator: MlpParams
     discriminator: MlpParams
     scale: float
-    # None: the generator emits prices itself (hand-built, or format 1)
+    # None: the generator emits prices itself (a hand-built model)
     transform: WindowTransform | None = None
 
     @property
@@ -556,7 +543,7 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
             # rounds to 1.0, so a saturated output's clipped log is -inf
             d = d_out.astype(float)
             upstream = _bce_upstream(d, labels, b).astype(np.float32)
-            _backward_cached(disc, cache, upstream, opt_d.grad_w, opt_d.grad_b, input_grad=False)
+            _backward_cached(disc, cache, upstream, opt_d.grad_w, opt_d.grad_b)
             opt_d.update(disc)
             d = np.clip(d, _EPS, 1.0 - _EPS)
             d_epoch.append(float(-(np.log(d[:b]).mean() + np.log1p(-d[b:]).mean())))
@@ -570,7 +557,7 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
             upstream = (-1.0 / (np.maximum(d, _EPS) * b)).astype(np.float32)
             grad_fake = _backward_cached(disc, cache_d, upstream)
             grad_fake += _moment_grad(fake @ moments, target_std) @ moments.T
-            _backward_cached(gen, cache_g, grad_fake, opt_g.grad_w, opt_g.grad_b, input_grad=False)
+            _backward_cached(gen, cache_g, grad_fake, opt_g.grad_w, opt_g.grad_b)
             opt_g.update(gen)
             g_epoch.append(float(-np.log(np.clip(d, _EPS, 1.0)).mean()))
 
@@ -703,14 +690,14 @@ def load_checkpoint(path) -> GanModel:
     reader = _Reader(body)
     reader.take(4)  # magic
     version = reader.u32()
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"{path}: format version {version} unsupported (expected 1 or {CHECKPOINT_VERSION})"
+            f"{path}: format version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )
     gen = _unpack_net(reader)
     disc = _unpack_net(reader)
     scale = reader.f64()
-    T, knots = gen.layer_dims[-1], reader.u32() if version > 1 else 0
+    T, knots = gen.layer_dims[-1], reader.u32()
     transform = None
     if knots:  # mean[T], std[T], level_knots[K], normal_knots[K]
         transform = WindowTransform(*(reader.f64_array(n) for n in (T, T, knots, knots)))

@@ -72,8 +72,9 @@ def search_stride(
     for d in range(1, T + 1):
         ws = partition(src, d, T)
         if len(ws) < n1:
+            # the count (n - T) // d + 1 never grows with d: no later stride reaches N1
             diagnostics[d] = f"size {len(ws)} < N1={n1}"
-            continue
+            break
         if train_probe(ws):
             diagnostics[d] = "probe collapsed"
             continue

@@ -226,6 +226,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"cfg\.txt:2: bad value"):
             parse_config(path)
 
+    def test_nonpositive_probe_epochs_is_config_error(self, tmp_path):
+        # rejected by the parser, before the (missing) price file is read
+        path = write_config(tmp_path / "cfg.txt", data__prices=tmp_path / "missing.csv",
+                            model__kind="gan-mc", gan__probe_epochs="0")
+        with pytest.raises(ConfigError, match="^probe_epochs must be positive, got 0$"):
+            parse_config(path)
+
     def test_unknown_model_kind(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("[model]\nkind = perceptron\n")

@@ -40,19 +40,6 @@ def small_trained_model(epochs=3):
     return small_training_run(epochs)[0]
 
 
-def pack_v1(model):
-    """Format 1 bytes: the format 2 layout without the transform section."""
-    body = [b"GMC1", struct.pack("<I", 1)]
-    for net in (model.generator, model.discriminator):
-        body.append(struct.pack("<I", len(net.weights)))
-        for w, b, act in zip(net.weights, net.biases, net.activations):
-            tag = ["relu", "sigmoid", "tanh", "identity", "exp"].index(act)
-            body += [struct.pack("<IIB", *w.shape, tag), w.astype("<f8").tobytes(),
-                     b.astype("<f8").tobytes()]
-    body = b"".join(body) + struct.pack("<d", model.scale)
-    return body + struct.pack("<I", zlib.crc32(body))
-
-
 def single_layer(w, b, act):
     return MlpParams(weights=[np.asarray(w, float)], biases=[np.asarray(b, float)], activations=[act])
 
@@ -108,7 +95,7 @@ class TestBackward:
         assert all(np.all(gw == 0) for gw in g.weights)
         assert all(np.all(gb == 0) for gb in g.biases)
 
-    @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh", "identity", "exp"])
+    @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh", "identity"])
     def test_matches_finite_differences(self, act, rng):
         net = init_mlp([4, 6, 5, 3], [act, act, "sigmoid"], rng)
         x = rng.standard_normal(4)
@@ -128,6 +115,24 @@ class TestBackward:
                     fd = (fp - fm) / (2 * h)
                     expected = grad.reshape(-1)[idx]
                     assert fd == pytest.approx(expected, rel=1e-5, abs=1e-9)
+
+    @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh", "identity"])
+    def test_input_gradient_matches_finite_differences(self, act, rng):
+        # the gradient the generator trains through: without grad_w/grad_b,
+        # _backward_cached returns d sum(u * output) / dx
+        net = init_mlp([4, 6, 5, 3], [act, act, "sigmoid"], rng)
+        x = rng.standard_normal((2, 4))
+        u = rng.standard_normal((2, 3))
+        grad = gan._backward_cached(net, gan._forward_cached(net, x)[1], u)
+        assert grad.shape == x.shape
+        h = 1e-6
+        for i in range(2):
+            for j in range(4):
+                step = np.zeros_like(x)
+                step[i, j] = h
+                fp, fm = (float(np.sum(forward(net, x + s) * u)) for s in (step, -step))
+                fd = (fp - fm) / (2 * h)
+                assert fd == pytest.approx(grad[i, j], rel=1e-5, abs=1e-9)
 
     def test_shape_mismatch(self, rng):
         net = init_mlp([4, 2], ["sigmoid"], rng)
@@ -404,16 +409,6 @@ class TestCheckpoint:
         for a, b in zip(model.generator.weights, loaded.generator.weights):
             np.testing.assert_array_equal(a, b)
 
-    def test_round_trip_exp_head(self, rng, tmp_path):
-        gen = init_mlp([4, 8, 6], ["relu", "exp"], rng)
-        disc = init_mlp([6, 8, 1], ["relu", "sigmoid"], rng)
-        model = GanModel(generator=gen, discriminator=disc, scale=1.0)
-        path = tmp_path / "model.gmc"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        assert loaded.generator.activations == ["relu", "exp"]
-        np.testing.assert_array_equal(sample(model, 20, 3), sample(loaded, 20, 3))
-
     def test_round_trip_trained_model(self, tmp_path):
         model = small_trained_model()
         path = tmp_path / "model.gmc"
@@ -425,19 +420,16 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.generator.params, model.generator.params)
         np.testing.assert_array_equal(sample(loaded, 300, 4), sample(model, 300, 4))
 
-    def test_reads_format_1_folded_generator(self, rng, tmp_path):
-        # a format 1 trained generator: relu layers, then the exp head of the fold
-        gen = init_mlp([4, 8, 10, 6], ["relu", "relu", "exp"], rng)
-        disc = init_mlp([6, 8, 1], ["relu", "sigmoid"], rng)
-        model = GanModel(generator=gen, discriminator=disc, scale=1.0)
-        path = tmp_path / "model_v1.gmc"
-        path.write_bytes(pack_v1(model))
-        loaded = load_checkpoint(path)
-        assert loaded.transform is None
-        assert loaded.generator.activations == ["relu", "relu", "exp"]
-        np.testing.assert_array_equal(loaded.generator.params, gen.params)
-        z = np.random.default_rng(3).standard_normal((20, 4))
-        np.testing.assert_array_equal(sample(loaded, 20, 3), np.maximum(forward(gen, z), 1e-6))
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_only_format_2_is_read(self, version, rng, tmp_path):
+        # format 1, which no writer produces any more, is rejected like any other version
+        save_checkpoint(self._model(rng), tmp_path / "model.gmc")
+        body = bytearray((tmp_path / "model.gmc").read_bytes()[:-4])
+        body[4:8] = struct.pack("<I", version)
+        path = tmp_path / f"model_v{version}.gmc"
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        with pytest.raises(CheckpointError, match=rf"{version} unsupported \(expected 2\)$"):
+            load_checkpoint(path)
 
     def test_truncated_transform_section(self, tmp_path):
         model = small_trained_model(epochs=1)
@@ -467,7 +459,7 @@ class TestCheckpoint:
         body = bytearray(data[:-4])
         body[4:8] = struct.pack("<I", 99)
         path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
-        with pytest.raises(CheckpointError, match="99.*expected 1"):
+        with pytest.raises(CheckpointError, match="99.*expected 2"):
             load_checkpoint(path)
 
     def test_corrupted_body_fails_checksum(self, rng, tmp_path):

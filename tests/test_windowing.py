@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ganmc import windowing
 from ganmc.windowing import (
     NoViableStrideError,
     WindowingError,
@@ -91,6 +92,16 @@ class TestSearchStride:
         with pytest.raises(NoViableStrideError) as exc:
             search_stride(src, T=40, n1=100, train_probe=lambda ws: False)
         assert exc.value.diagnostics[1].startswith("size")
+
+    def test_search_ends_at_the_first_short_stride(self, monkeypatch):
+        # no larger stride can reach N1, so none of their window sets is built
+        built = []
+        monkeypatch.setattr(windowing, "partition",
+                            lambda values, d, T: built.append(d) or partition(values, d, T))
+        with pytest.raises(NoViableStrideError) as exc:
+            search_stride(np.arange(1.0, 51.0), T=40, n1=100, train_probe=lambda ws: False)
+        assert exc.value.diagnostics == {1: "size 11 < N1=100"}
+        assert built == [1]
 
     def test_diagnostics_record_collapse(self):
         src = np.arange(1.0, 51.0)
