@@ -193,7 +193,8 @@ class ContractRow:
 def load_contracts(path) -> list[ContractRow]:
     """Load an option-contract fixture CSV: side,style,strike,t0_years,sigma,actual.
 
-    Every number must be finite.
+    Every number must be finite, and every actual price nonzero: it divides
+    the row's percentage error.
     """
     header = ["side", "style", "strike", "t0_years", "sigma", "actual"]
     contracts = []
@@ -207,6 +208,8 @@ def load_contracts(path) -> list[ContractRow]:
             raise MarketDataError(f"{path}: {exc} at row {i}") from None
         except ValueError:
             raise MarketDataError(f"{path}: bad numeric value at row {i}") from None
+        if actual == 0.0:
+            raise MarketDataError(f"{path}: actual value is zero at row {i}")
         contracts.append(ContractRow(contract, sigma, actual))
     return contracts
 
@@ -384,7 +387,7 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
                 predicted = lr_price(pricer, moneyness_row)
             except PricingError:
                 continue  # outside the fitted regime
-        ape = abs(predicted - row.actual) / abs(row.actual) if row.actual else float("inf")
+        ape = abs(predicted - row.actual) / abs(row.actual)
         rows.append((contract_id, float(predicted), row.actual, float(ape)))
 
     if not rows:

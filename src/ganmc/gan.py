@@ -3,8 +3,10 @@
 All network math is explicit numpy: forward passes, backpropagation,
 and Adam updates, so gradients can be verified against finite
 differences. ``train`` runs its minibatch loop in float32 and returns
-float64 networks; sampling, pricing and checkpoints are float64. Training
-is deterministic given the config seed, numpy/BLAS build and thread count.
+float64 networks of float32 values; ``sample`` runs the generator in
+float32 too and returns float64 tracks. Pricing and checkpoints are
+float64. Training and sampling are deterministic given the seed,
+numpy/BLAS build and thread count.
 
 The networks work in log coordinates: a window x_0..x_{T-1} becomes
 (G(log x_0), log(x_1/x_0), ..., log(x_{T-1}/x_0)), each coordinate
@@ -46,8 +48,8 @@ _TAG_TO_ACT = {v: k for k, v in _ACT_TO_TAG.items()}
 # positive floor for sampled prices, as a fraction of the scale
 TRACK_FLOOR_FRACTION = 1e-6
 
-# rows of noise sampled per forward pass: a 256-wide hidden block of this
-# many rows is 2 MiB and stays in L2
+# rows of noise sampled per forward pass: a 256-wide float32 hidden block of
+# this many rows is 1 MiB and stays in L2
 SAMPLE_BLOCK_ROWS = 1024
 
 # knots of the piecewise-linear map between log start levels and a normal
@@ -172,8 +174,8 @@ def _forward_cached(net: MlpParams, x: np.ndarray):
 
 
 def forward(net: MlpParams, x) -> np.ndarray:
-    """Evaluate the network on one input vector or a batch of rows."""
-    xv = np.asarray(x, dtype=float)
+    """Evaluate the network on one input vector or a batch of rows, in the network's dtype."""
+    xv = np.asarray(x, dtype=net.params.dtype)
     single = xv.ndim == 1
     if single:
         xv = xv[None, :]
@@ -294,7 +296,7 @@ class GanConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    scale: float = 1.0  # sampled tracks are forward(generator, z) * scale
+    scale: float = 1.0  # a sampled track is transform.inverse(forward(generator, z)) * scale
     delta_loss: float = 0.05
     eps_std: float = 1e-4
     k_epochs: int = 20
@@ -590,18 +592,22 @@ def sample(model: GanModel, n2: int, seed: int) -> np.ndarray:
 
     A track is transform.inverse(forward(generator, z)) * scale, or
     forward(generator, z) * scale for a model without a transform. The
-    noise is drawn at once and run through the generator in even blocks
-    of at most SAMPLE_BLOCK_ROWS rows, which give the rows of one pass.
+    generator runs in float32, as in training: the noise is drawn in
+    float64, so a seed draws the same stream, and cast. It is run through
+    the generator in even blocks of at most SAMPLE_BLOCK_ROWS rows, which
+    give the rows of one pass; each block's output is cast back to float64
+    before the inverse transform, the scale and the floor.
     """
     if n2 < 1:
         raise GanError(f"sample count must be >= 1, got {n2}")
-    z = np.random.default_rng(seed).standard_normal((n2, model.noise_dim))
+    z = np.random.default_rng(seed).standard_normal((n2, model.noise_dim)).astype(np.float32)
+    gen = model.generator.astype(np.float32)
     tracks = np.empty((n2, model.T))
     # even blocks, no short tail: BLAS runs matmuls of a few rows on a
     # small-matrix path whose rows differ from a large matmul's in the last bit
     blocks = -(-n2 // SAMPLE_BLOCK_ROWS)
     for z_rows, rows in zip(np.array_split(z, blocks), np.array_split(tracks, blocks)):
-        out = forward(model.generator, z_rows)
+        out = forward(gen, z_rows).astype(float)
         rows[...] = out if model.transform is None else model.transform.inverse(out)
     tracks *= model.scale
     return np.maximum(tracks, TRACK_FLOOR_FRACTION * model.scale, out=tracks)

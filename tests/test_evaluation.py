@@ -299,6 +299,22 @@ class TestRunPipeline:
         assert [row[0] for row in report.rows] == [str(i) for i in range(15, 20)]
         assert report.mape_percent < 0.1  # affine data is recovered
 
+    def test_zero_actual_names_fixture_row(self, tmp_path):
+        # contract 7 (file row 9) lies past lr_train_rows, so it is the second
+        # reported row: the loader, not mape, must name it
+        prices_path = write_price_csv(tmp_path / "prices.csv", gbm_prices(300, seed=4).tolist())
+        rows = [("call", "european", 90.0 + i, 21 * (1 + i % 3) / 252, 0.2, 5.0 + i)
+                for i in range(10)]
+        rows[7] = rows[7][:5] + (0.0,)
+        contracts_path = write_contracts(tmp_path / "contracts.csv", rows)
+        cfg_path = write_config(
+            tmp_path / "cfg.txt",
+            data__prices=prices_path, contracts__file=contracts_path,
+            model__kind="lr", contracts__lr_train_rows="6",
+        )
+        with pytest.raises(StageError, match=r"\[market_data\] .*contracts\.csv: .* zero at row 9"):
+            run_pipeline(parse_config(cfg_path))
+
     def test_gan_mc_small_run(self, tmp_path):
         prices = gbm_prices(260, seed=9)
         prices_path = write_price_csv(tmp_path / "prices.csv", prices.tolist())

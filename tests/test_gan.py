@@ -75,6 +75,13 @@ class TestForward:
         out = forward(net, rng.standard_normal((100, 8)) * 10)
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
+    def test_float32_net_computes_in_float32(self, rng):
+        net = init_mlp([32, 128, 256, 64], ["relu", "relu", "identity"], rng)
+        x = rng.standard_normal((100, 32))
+        out = forward(net.astype(np.float32), x)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, forward(net, x), rtol=1e-5, atol=1e-5)
+
 
 class TestBackward:
     def test_identity_layer_squared_loss_gradient(self, rng):
@@ -344,18 +351,32 @@ class TestSample:
         assert tracks.shape == (50, 6)
         assert np.all(tracks >= 1e-6 * model.scale)
 
+    def _served_model(self, rng):
+        # the served shapes: noise 32, hidden (128, 256), T=64; a trained
+        # generator holds float32 values
+        windows = gbm_prices(300, seed=8)[np.arange(200)[:, None] + np.arange(64)]
+        gen = init_mlp([32, 128, 256, 64], ["relu", "relu", "identity"], rng)
+        return GanModel(generator=gen.astype(np.float32).astype(float),
+                        discriminator=init_mlp([64, 1], ["sigmoid"], rng),
+                        scale=2.0, transform=WindowTransform.fit(windows))
+
+    @staticmethod
+    def _tracks(model, coords):
+        return np.maximum(model.transform.inverse(coords) * 2.0, TRACK_FLOOR_FRACTION * 2.0)
+
     @pytest.mark.parametrize("n2", [1, SAMPLE_BLOCK_ROWS - 1, SAMPLE_BLOCK_ROWS,
                                     SAMPLE_BLOCK_ROWS + 1, 2 * SAMPLE_BLOCK_ROWS + 3])
     def test_blocks_bit_equal_to_one_pass(self, n2, rng):
-        # the served shapes: noise 32, hidden (128, 256), T=64
-        windows = gbm_prices(300, seed=8)[np.arange(200)[:, None] + np.arange(64)]
-        gen = init_mlp([32, 128, 256, 64], ["relu", "relu", "identity"], rng)
-        model = GanModel(generator=gen, discriminator=init_mlp([64, 1], ["sigmoid"], rng),
-                         scale=2.0, transform=WindowTransform.fit(windows))
+        model = self._served_model(rng)
         z = np.random.default_rng(5).standard_normal((n2, 32))
-        expected = np.maximum(model.transform.inverse(forward(gen, z)) * 2.0,
-                              TRACK_FLOOR_FRACTION * 2.0)
-        np.testing.assert_array_equal(sample(model, n2, seed=5), expected)
+        one_pass = forward(model.generator.astype(np.float32), z).astype(float)
+        np.testing.assert_array_equal(sample(model, n2, seed=5), self._tracks(model, one_pass))
+
+    def test_float32_tracks_match_float64_reference(self, rng):
+        model = self._served_model(rng)
+        z = np.random.default_rng(5).standard_normal((2048, 32))
+        expected = self._tracks(model, forward(model.generator, z))
+        np.testing.assert_allclose(sample(model, 2048, seed=5), expected, rtol=1e-6, atol=0)
 
 
 class TestWindowTransform:
