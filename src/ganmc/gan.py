@@ -49,7 +49,8 @@ _TAG_TO_ACT = {v: k for k, v in _ACT_TO_TAG.items()}
 TRACK_FLOOR_FRACTION = 1e-6
 
 # rows of noise sampled per forward pass: a 256-wide float32 hidden block of
-# this many rows is 1 MiB and stays in L2
+# this many rows is 1 MiB and stays in L2, and the block's tracks are
+# finished (inverse transform, scale, floor) while they are still there
 SAMPLE_BLOCK_ROWS = 1024
 
 # knots of the piecewise-linear map between log start levels and a normal
@@ -596,7 +597,8 @@ def sample(model: GanModel, n2: int, seed: int) -> np.ndarray:
     float64, so a seed draws the same stream, and cast. It is run through
     the generator in even blocks of at most SAMPLE_BLOCK_ROWS rows, which
     give the rows of one pass; each block's output is cast back to float64
-    before the inverse transform, the scale and the floor.
+    and put through the inverse transform, the scale and the floor before
+    the next block is generated.
     """
     if n2 < 1:
         raise GanError(f"sample count must be >= 1, got {n2}")
@@ -608,9 +610,11 @@ def sample(model: GanModel, n2: int, seed: int) -> np.ndarray:
     blocks = -(-n2 // SAMPLE_BLOCK_ROWS)
     for z_rows, rows in zip(np.array_split(z, blocks), np.array_split(tracks, blocks)):
         out = forward(gen, z_rows).astype(float)
-        rows[...] = out if model.transform is None else model.transform.inverse(out)
-    tracks *= model.scale
-    return np.maximum(tracks, TRACK_FLOOR_FRACTION * model.scale, out=tracks)
+        if model.transform is not None:
+            out = model.transform.inverse(out)
+        np.multiply(out, model.scale, out=rows)
+        np.maximum(rows, TRACK_FLOOR_FRACTION * model.scale, out=rows)
+    return tracks
 
 
 def _pack_net(net: MlpParams) -> bytes:

@@ -3,6 +3,13 @@
 Similarity between two equal-length tracks is the mean of
 1 - |x_i - y_i| / (|x_i| + |y_i|), which lies in [0, 1] for nonnegative
 inputs and is invariant under a common rescaling of both tracks.
+
+Scores are computed in blocks of SCORE_BLOCK_ROWS tracks, each with the
+same operations, in the same order, as one pass over every track, so a
+score does not depend on the block split. The retained set is found by
+partitioning the scores at the retention threshold and stably sorting
+only the tracks at or above it, which gives the same indices in the same
+order as a stable sort of every score.
 """
 
 from __future__ import annotations
@@ -11,6 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# tracks scored per block: the two float64 scratch blocks of 256 rows of a
+# 64-day track are 128 KiB each and stay in L2
+SCORE_BLOCK_ROWS = 256
 
 
 class SimilarityError(ValueError):
@@ -22,7 +33,8 @@ class SimilarityRanking:
     """Per-track scores and the retained index set."""
 
     scores: np.ndarray    # shape (N2,), in [0, 1]
-    selected: np.ndarray  # 0-based indices of retained tracks, ascending score
+    # 0-based indices of retained tracks, ascending score, ties by ascending index
+    selected: np.ndarray
 
 
 def tsim(x, y) -> float:
@@ -39,17 +51,30 @@ def tsim(x, y) -> float:
 
 
 def _similarities(tracks: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """tsim of every row of `tracks` against `reference`."""
-    denom = np.abs(tracks)
-    denom += np.abs(reference)
-    term = np.subtract(tracks, reference)
-    np.abs(term, out=term)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        term /= denom
-    np.subtract(1.0, term, out=term)
-    # both entries zero: identical values, similarity 1
-    term[denom == 0.0] = 1.0
-    return term.mean(axis=1)
+    """tsim of every row of `tracks` against `reference`, in blocks of SCORE_BLOCK_ROWS rows."""
+    n, t = tracks.shape
+    scores = np.empty(n)
+    abs_ref = np.abs(reference)
+    # |x| + |y| is 0 only where both are 0, so only a zero in the reference
+    # can give a term with both entries zero
+    zero_ref = bool(np.any(reference == 0.0))
+    rows = min(n, SCORE_BLOCK_ROWS)
+    denom_buf, term_buf = np.empty((rows, t)), np.empty((rows, t))
+    for start in range(0, n, rows):
+        block = tracks[start : start + rows]
+        denom, term = denom_buf[: len(block)], term_buf[: len(block)]
+        np.abs(block, out=denom)
+        denom += abs_ref
+        np.subtract(block, reference, out=term)
+        np.abs(term, out=term)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            term /= denom
+        np.subtract(1.0, term, out=term)
+        if zero_ref:
+            # both entries zero: identical values, similarity 1
+            term[denom == 0.0] = 1.0
+        term.mean(axis=1, out=scores[start : start + len(block)])
+    return scores
 
 
 def retained_count(n2: int, alpha: float) -> int:
@@ -62,7 +87,7 @@ def rank_and_select(tracks, reference, alpha: float) -> SimilarityRanking:
 
     Tracks are sorted by ascending similarity (ties broken by original
     index, ascending); the retained set is the trailing slice of that
-    order, i.e. the most similar tracks.
+    order, i.e. the most similar tracks. NaN scores sort last.
     """
     if not (0.0 < alpha < 1.0):
         raise SimilarityError(f"alpha must be in (0,1), got {alpha}")
@@ -75,6 +100,10 @@ def rank_and_select(tracks, reference, alpha: float) -> SimilarityRanking:
             f"reference length {ref.shape[0]} != track length {mat.shape[1]}"
         )
     scores = _similarities(mat, ref)
-    keep = retained_count(mat.shape[0], alpha)
-    selected = np.argsort(scores, kind="stable")[-keep:]
+    n, keep = mat.shape[0], retained_count(mat.shape[0], alpha)
+    # the lowest retained score, and every track not below it in index
+    # order (NaN is never below)
+    threshold = np.partition(scores, n - keep)[n - keep]
+    candidates = np.flatnonzero(~(scores < threshold))
+    selected = candidates[np.argsort(scores[candidates], kind="stable")[-keep:]]
     return SimilarityRanking(scores=scores, selected=selected)

@@ -351,6 +351,18 @@ class TestSample:
         assert tracks.shape == (50, 6)
         assert np.all(tracks >= 1e-6 * model.scale)
 
+    def test_no_transform_blocks_bit_equal_to_one_pass(self, rng):
+        # a hand-built model without a transform; its relu head emits zeros,
+        # which the floor lifts
+        gen = init_mlp([4, 8, 6], ["relu", "relu"], rng)
+        model = GanModel(generator=gen, discriminator=init_mlp([6, 1], ["sigmoid"], rng), scale=100.0)
+        n2 = SAMPLE_BLOCK_ROWS + 1
+        z = np.random.default_rng(5).standard_normal((n2, 4))
+        one_pass = forward(gen.astype(np.float32), z).astype(float) * 100.0
+        expected = np.maximum(one_pass, TRACK_FLOOR_FRACTION * 100.0)
+        assert np.any(expected == TRACK_FLOOR_FRACTION * 100.0)
+        np.testing.assert_array_equal(sample(model, n2, seed=5), expected)
+
     def _served_model(self, rng):
         # the served shapes: noise 32, hidden (128, 256), T=64; a trained
         # generator holds float32 values

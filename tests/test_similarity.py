@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ganmc.similarity import SimilarityError, rank_and_select, retained_count, tsim
+from ganmc.similarity import (
+    SCORE_BLOCK_ROWS,
+    SimilarityError,
+    rank_and_select,
+    retained_count,
+    tsim,
+)
 
 positive_vectors = st.lists(
     st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=32
@@ -113,5 +119,36 @@ class TestRankAndSelect:
         )
         keep = n2 - math.ceil(alpha * n2) + 1
         expected = [i for _, i in pairs[n2 - keep :]]
-        assert sorted(ranking.selected.tolist()) == sorted(expected)
-        assert len(ranking.selected) == keep
+        assert ranking.selected.tolist() == expected
+
+    @staticmethod
+    def _one_pass_scores(tracks, ref):
+        denom = np.abs(tracks) + np.abs(ref)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            term = 1.0 - np.abs(tracks - ref) / denom
+        term[denom == 0.0] = 1.0
+        return term.mean(axis=1)
+
+    @pytest.mark.parametrize("n2", [1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1,
+                                    3 * SCORE_BLOCK_ROWS + 5, 5120])
+    def test_blocks_match_one_pass_and_stable_sort(self, n2):
+        rng = np.random.default_rng(n2)
+        # tracks drawn from a pool of 12 rows: every score is tied many times,
+        # so ties straddle the retention threshold
+        tracks = rng.uniform(50.0, 150.0, (12, 64))[rng.integers(0, 12, n2)]
+        ref = rng.uniform(50.0, 150.0, 64)
+        ref[5] = 0.0
+        tracks[0] = 0.0  # against the zero reference entry: both zero, term 1
+        if n2 > 1:
+            tracks[-1, 9] = np.inf  # inf / inf: a NaN score
+        ranking = rank_and_select(tracks, ref, 0.8)
+        expected = self._one_pass_scores(tracks, ref)
+        np.testing.assert_array_equal(ranking.scores, expected)
+        assert ranking.scores[0] == 1.0 / 64
+        keep = retained_count(n2, 0.8)
+        np.testing.assert_array_equal(ranking.selected, np.argsort(expected, kind="stable")[-keep:])
+        if n2 > 1:
+            assert np.isnan(ranking.scores[-1]) and ranking.selected[-1] == n2 - 1
+        if n2 > SCORE_BLOCK_ROWS:
+            dropped = np.delete(ranking.scores, ranking.selected)
+            assert np.any(dropped == ranking.scores[ranking.selected[0]])
