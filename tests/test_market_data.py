@@ -1,5 +1,8 @@
+import csv
 import datetime as dt
+import random
 
+import numpy as np
 import pytest
 
 from ganmc.evaluation import load_contracts
@@ -69,6 +72,35 @@ class TestLoadPriceSeries:
         with pytest.raises(MarketDataError, match="at least 2"):
             load_price_series(path, "SYM")
 
+    def test_shuffled_history_with_blank_lines_equals_sorted_reference(self, tmp_path):
+        dates = iso_dates(700)
+        rows = [(d.isoformat(), repr(100.0 + 0.37 * i + (i % 7) / 3)) for i, d in enumerate(dates)]
+        random.Random(5).shuffle(rows)
+        lines = ["date,price"]
+        for i, (d, p) in enumerate(rows):
+            lines.append(f" {d} , {p} " if i % 50 == 0 else f"{d},{p}")
+            if i % 97 == 0:
+                lines.append("" if i % 2 else " , ")
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with open(path, newline="") as fh:
+            cells = [row for row in list(csv.reader(fh))[1:] if any(c.strip() for c in row)]
+        reference = sorted((dt.date.fromisoformat(d.strip()), float(p)) for d, p in cells)
+        series = load_price_series(path, "SYM")
+        assert series.dates == tuple(d for d, _ in reference)
+        assert series.prices == tuple(p for _, p in reference)
+
+    def test_duplicate_in_long_shuffled_file_names_second_occurrence(self, tmp_path):
+        rows = [f"{d.isoformat()},{100 + i}" for i, d in enumerate(iso_dates(700))]
+        random.Random(7).shuffle(rows)
+        rows.insert(600, rows[20].split(",")[0] + ",99")
+        path = tmp_path / "p.csv"
+        path.write_text("date,price\n" + "\n".join(rows) + "\n")
+        date = rows[20].split(",")[0]
+        with pytest.raises(MarketDataError) as exc:
+            load_price_series(path, "SYM")
+        assert str(exc.value) == f"{path}: duplicate date {date} at row 602"
+
     def test_round_trip(self, tmp_path):
         path = write_price_csv(tmp_path / "p.csv", [100.0, 101.317, 99.0001])
         series = load_price_series(path, "SYM")
@@ -90,6 +122,26 @@ class TestLoadDividends:
         series = load_dividends(path, "SYM")
         assert series.dps == (1.0,) * 5
         assert series.indices == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "dates",
+        [
+            iso_dates(63 * 8)[::63],
+            [dt.date(2021, 1, 4), dt.date(2021, 1, 7), dt.date(2021, 1, 9), dt.date(2021, 1, 13)],
+        ],
+        ids=["quarterly", "saturday"],
+    )
+    def test_indices_count_business_days(self, tmp_path, dates):
+        path = write_dividend_csv(tmp_path / "d.csv", [1.0] * len(dates), dates)
+        series = load_dividends(path, "SYM")
+        assert series.origin == dates[0]
+        assert series.indices == tuple(np.busday_count(dates[0], dates).tolist())
+
+    def test_saturday_and_following_monday_rejected(self, tmp_path):
+        dates = [dt.date(2021, 1, 4), dt.date(2021, 1, 9), dt.date(2021, 1, 11)]
+        path = write_dividend_csv(tmp_path / "d.csv", [1.0] * 3, dates)
+        with pytest.raises(MarketDataError, match="indices not strictly increasing"):
+            load_dividends(path, "SYM")
 
     def test_negative_dps_rejected(self, tmp_path):
         path = write_dividend_csv(tmp_path / "d.csv", [1.0, -0.5])
@@ -163,3 +215,54 @@ def test_non_finite_value_rejected(tmp_path, kind, value):
     path.write_text(f"{header}\n{first}\n{second.rsplit(',', 1)[0]},{value}\n")
     with pytest.raises(MarketDataError, match=rf"{kind}\.csv: bad .*at row 3"):
         load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_byte_order_mark_accepted(tmp_path, kind):
+    """A UTF-8 byte-order mark before the header, as spreadsheet programs write it, is read."""
+    load, header, (first, second) = LOADERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"\ufeff{header}\n{first}\n{second}\n", encoding="utf-8")
+    assert len(load(path)) == 2
+
+
+# loader, file body, the fault named: the first in file order, and within one
+# row the date, then its uniqueness, then the columns left to right
+MULTI_FAULT_FILES = {
+    "zero price before bad date": (
+        lambda path: load_price_series(path, "SYM"),
+        "date,price\n2021-01-04,100\n2021-01-05,0\nnot-a-date,101\n",
+        "non-positive price 0.0 at row 3",
+    ),
+    "nan before duplicate": (
+        lambda path: load_price_series(path, "SYM"),
+        "date,price\n2021-01-04,100\n2021-01-05,101\n2021-01-06,nan\n2021-01-06,102\n",
+        "bad price 'nan' at row 4",
+    ),
+    "duplicate before bad date": (
+        lambda path: load_price_series(path, "SYM"),
+        "date,price\n2021-01-04,100\n2021-01-05,101\n2021-01-04,102\n2021-01-06,103\n"
+        "2021-01-32,104\n",
+        "duplicate date 2021-01-04 at row 4",
+    ),
+    "duplicates named in file order, not date order": (
+        lambda path: load_price_series(path, "SYM"),
+        "date,price\n2021-01-05,100\n2021-01-05,101\n2021-01-04,102\n2021-01-04,103\n",
+        "duplicate date 2021-01-05 at row 3",
+    ),
+    "ttd_years before spot in one row": (
+        lambda path: load_quotes(path, "FUT1"),
+        "date,last,ttd_years,spot\n2021-01-04,102,0.25,100\n2021-01-05,103,-0.1,0\n",
+        "negative time-to-delivery -0.1 at row 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_FAULT_FILES))
+def test_first_fault_in_file_order_named(tmp_path, case):
+    load, body, fault = MULTI_FAULT_FILES[case]
+    path = tmp_path / "data.csv"
+    path.write_text(body)
+    with pytest.raises(MarketDataError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: {fault}"
