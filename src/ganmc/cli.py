@@ -1,12 +1,14 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 validation error (bad config, bad inputs),
-2 runtime or numeric error (training collapse, pipeline failures).
+2 runtime or numeric error (training collapse, pipeline failures) or a
+malformed argument, which argparse reports as a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -15,6 +17,7 @@ import numpy as np
 from .evaluation import (
     ConfigError,
     StageError,
+    baseline_price,
     generate_tracks_csv,
     parse_config,
     price_commodity_pipeline,
@@ -27,6 +30,17 @@ from .evaluation import (
 from .gan import save_checkpoint
 from .market_data import load_price_series
 from .options import OptionContract
+
+
+def _finite_float(text: str) -> float:
+    """A float argument; inf, nan and non-numbers are argparse usage errors."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,14 +61,14 @@ def _build_parser() -> argparse.ArgumentParser:
     opt = sub.add_parser("price-option", help="price one option contract")
     opt.add_argument("--side", choices=["call", "put"], required=True)
     opt.add_argument("--style", choices=["european", "american"], default="european")
-    opt.add_argument("--strike", type=float, required=True)
-    opt.add_argument("--t0", type=float, required=True, help="years to expiry")
+    opt.add_argument("--strike", type=_finite_float, required=True)
+    opt.add_argument("--t0", type=_finite_float, required=True, help="years to expiry")
 
     eqf = sub.add_parser("price-equity-futures", help="price one equity futures contract")
-    eqf.add_argument("--t0", type=float, required=True, help="years to delivery")
+    eqf.add_argument("--t0", type=_finite_float, required=True, help="years to delivery")
 
     com = sub.add_parser("price-commodity", help="price one commodity forward/futures")
-    com.add_argument("--t0", type=float, required=True, help="years to delivery")
+    com.add_argument("--t0", type=_finite_float, required=True, help="years to delivery")
 
     sub.add_parser("evaluate", help="price the contract fixture and report MAPE")
 
@@ -62,9 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     base.add_argument("--model", choices=["bs", "mc"], required=True)
     base.add_argument("--side", choices=["call", "put"], required=True)
     base.add_argument("--style", choices=["european", "american"], default="european")
-    base.add_argument("--strike", type=float, required=True)
-    base.add_argument("--t0", type=float, required=True)
-    base.add_argument("--sigma", type=float, required=True)
+    base.add_argument("--strike", type=_finite_float, required=True)
+    base.add_argument("--t0", type=_finite_float, required=True)
+    base.add_argument("--sigma", type=_finite_float, required=True)
     return parser
 
 
@@ -88,9 +102,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "price-option":
-        contract = OptionContract(
-            side=args.side, style=args.style, strike=args.strike, t0_years=args.t0
-        )
+        contract = OptionContract(args.side, args.style, args.strike, args.t0)
         print(f"{price_option_pipeline(cfg, contract):.6f}")
         return 0
 
@@ -111,18 +123,9 @@ def _run(args) -> int:
     if args.command == "baseline":
         if args.model == "bs" and args.style == "american":
             raise ConfigError("baseline --model bs prices European options only")
-        from .baselines import bs_price, gbm_mc_option
-
-        series = load_price_series(cfg.prices_path, cfg.symbol)
-        spot = series.prices[-1]
-        if args.model == "bs":
-            value = bs_price(args.side, spot, args.strike, cfg.r, args.sigma, args.t0)
-        else:
-            value = gbm_mc_option(
-                args.side, spot, args.strike, cfg.r, args.sigma, args.t0,
-                cfg.n2, cfg.seed, cfg.dt, args.style,
-            )
-        print(f"{value:.6f}")
+        contract = OptionContract(args.side, args.style, args.strike, args.t0)
+        spot = load_price_series(cfg.prices_path, cfg.symbol).prices[-1]
+        print(f"{baseline_price(args.model, contract, spot, args.sigma, cfg, cfg.seed):.6f}")
         return 0
 
     raise ConfigError(f"unknown command {args.command!r}")
@@ -132,15 +135,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc.cause, ValueError) else 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        return 1 if isinstance(cause, ValueError) else 2
 
 
 if __name__ == "__main__":

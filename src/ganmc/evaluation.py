@@ -329,6 +329,19 @@ def _retained(
     return series, _stage("similarity", selected_tracks, model, prices[-cfg.T :], cfg)
 
 
+def baseline_price(
+    model: str, contract: OptionContract, spot: float, sigma: float, cfg: ExperimentConfig,
+    seed: int,
+) -> float:
+    """The `bs` (closed-form European, whatever the style) or `mc` price of one contract."""
+    c = contract
+    if model == "bs":
+        return bs_price(c.side, spot, c.strike, cfg.r, sigma, c.t0_years)
+    return gbm_mc_option(
+        c.side, spot, c.strike, cfg.r, sigma, c.t0_years, cfg.n2, seed, cfg.dt, c.style
+    )
+
+
 def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     """Price every contract in the fixture with the configured model."""
     started = time.monotonic()
@@ -360,24 +373,9 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     for i, row in enumerate(contracts[split:], start=split):
         contract_id = str(i)
         c = row.contract
-        if cfg.model == "bs":
+        if cfg.model in ("bs", "mc"):
             predicted = _stage(
-                "baselines", bs_price, c.side, spot, c.strike, cfg.r, row.sigma, c.t0_years
-            )
-        elif cfg.model == "mc":
-            predicted = _stage(
-                "baselines",
-                gbm_mc_option,
-                c.side,
-                spot,
-                c.strike,
-                cfg.r,
-                row.sigma,
-                c.t0_years,
-                cfg.n2,
-                cfg.seed + i,
-                cfg.dt,
-                c.style,
+                "baselines", baseline_price, cfg.model, c, spot, row.sigma, cfg, cfg.seed + i
             )
         elif cfg.model == "gan-mc":
             predicted = _stage("pricing_options", price_option, c, tracks, cfg.r, cfg.dt).value

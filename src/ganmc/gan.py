@@ -182,12 +182,7 @@ def forward(net: MlpParams, x) -> np.ndarray:
         xv = xv[None, :]
     if xv.shape[1] != net.layer_dims[0]:
         raise GanError(f"input dim {xv.shape[1]} != first layer dim {net.layer_dims[0]}")
-    # no cache: each layer's values are freed once the next is computed
-    out = xv
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        out = out @ w.T
-        out += b
-        out = _ACTIVATIONS[act][0](out)
+    out = _forward_cached(net, xv)[0]
     return out[0] if single else out
 
 
@@ -540,7 +535,7 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
             # optimiser's buffer, no input gradients
             z = rng.standard_normal((b, cfg.noise_dim)).astype(np.float32)
             pair[:b] = real_epoch[start : start + b]
-            pair[b:] = _forward_cached(gen, z)[0]
+            pair[b:] = forward(gen, z)
             d_out, cache = _forward_cached(disc, pair)
             # losses and upstreams from a float64 copy: in float32, 1 - _EPS
             # rounds to 1.0, so a saturated output's clipped log is -inf
@@ -569,7 +564,7 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
         report.epochs_run = epoch + 1
 
         z = rng.standard_normal((PROBE_SIZE, cfg.noise_dim)).astype(np.float32)
-        probe = _forward_cached(gen, z)[0]
+        probe = forward(gen, z)
         # earlier epochs' losses were checked already: the trailing k_epochs
         # decide the verdict, which keeps the check O(k_epochs) per epoch
         reason = detect_collapse(

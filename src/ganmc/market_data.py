@@ -1,7 +1,7 @@
 """The CSV reader for every input file: the price, dividend and quote
 histories here, and the contract fixture through `read_rows`.
 
-History files use ISO-8601 dates and may list rows in any order. Prices
+History files use `YYYY-MM-DD` dates and may list rows in any order. Prices
 and quotes are indexed by their position in date order, so holidays and
 weekends are simply absent rows. Dividends are indexed by business days
 (Monday to Friday) from the first dividend date, so a sparse file, such
@@ -129,6 +129,14 @@ def _parsed_prefix(parse, cells) -> list:
     return parsed
 
 
+def _iso_date(text: str) -> _dt.date:
+    """A `YYYY-MM-DD` date. `date.fromisoformat` alone reads other ISO-8601
+    forms too (`20210104`, `2021-W01-1`) on Python 3.11 and later only."""
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError
+    return _dt.date.fromisoformat(text)
+
+
 def _day_numbers(dates) -> np.ndarray:
     """Each date's proleptic Gregorian ordinal, as int64."""
     return np.fromiter(map(_dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
@@ -144,7 +152,7 @@ def _read_dated(path, columns: tuple[str, ...]) -> tuple[tuple, ...]:
     n = len(numbers)
     # Each check's first fault as (position, place within its row, message); the earliest is named.
     faults = []
-    dates = _parsed_prefix(_dt.date.fromisoformat, map(str.strip, date_cells))
+    dates = _parsed_prefix(_iso_date, map(str.strip, date_cells))
     if len(dates) < n:
         faults.append((len(dates), 0, f"bad date {date_cells[len(dates)]!r}"))
     days = _day_numbers(dates)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ganmc.baselines import bs_price
+from ganmc.baselines import bs_price, gbm_mc_option
 from ganmc.cli import main as cli_main
 from ganmc import evaluation
 from ganmc.evaluation import (
@@ -525,6 +525,69 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "European options only" in captured.err
+
+    @pytest.mark.parametrize("style", ["european", "american"])
+    def test_baseline_mc_prints_gbm_mc_at_config_seed(self, fixture_files, tmp_path, capsys, style):
+        _, prices_path, contracts_path, spot, _ = fixture_files
+        cfg_path = write_config(
+            tmp_path / "cfg.txt",
+            data__prices=prices_path, contracts__file=contracts_path, model__seed="7",
+        )
+        cfg = parse_config(cfg_path)
+        code = cli_main([
+            "--config", str(cfg_path), "baseline", "--model", "mc", "--style", style,
+            "--side", "put", "--strike", "100", "--t0", "0.25", "--sigma", "0.2",
+        ])
+        assert code == 0
+        expected = gbm_mc_option("put", spot, 100.0, cfg.r, 0.2, 0.25, cfg.n2, 7, cfg.dt, style)
+        assert capsys.readouterr().out == f"{expected:.6f}\n"
+
+    def test_baseline_nonpositive_t0_is_a_contract_error(self, fixture_files, tmp_path, capsys):
+        _, prices_path, contracts_path, _, _ = fixture_files
+        cfg_path = write_config(
+            tmp_path / "cfg.txt", data__prices=prices_path, contracts__file=contracts_path,
+        )
+        code = cli_main([
+            "--config", str(cfg_path), "baseline", "--model", "bs",
+            "--side", "call", "--strike", "100", "--t0", "0", "--sigma", "0.2",
+        ])
+        assert code == 1
+        assert "time to expiry must be positive" in capsys.readouterr().err
+
+    def test_train_missing_prices_file_exit_two(self, tmp_path):
+        cfg_path = write_config(
+            tmp_path / "cfg.txt", data__prices=tmp_path / "nope.csv", model__kind="gan-mc",
+        )
+        code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "m.gmc"), "train"])
+        assert code == 2  # an OSError raised outside any pipeline stage
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["baseline", "--model", "bs", "--side", "call", "--strike", "100", "--t0", "inf",
+             "--sigma", "0.2"],
+            ["baseline", "--model", "bs", "--side", "call", "--strike", "100", "--t0", "0.25",
+             "--sigma", "inf"],
+            ["baseline", "--model", "mc", "--side", "call", "--strike", "nan", "--t0", "0.25",
+             "--sigma", "0.2"],
+            ["price-option", "--side", "put", "--strike", "inf", "--t0", "0.25"],
+            ["price-option", "--side", "call", "--strike", "100", "--t0", "inf"],
+            ["price-equity-futures", "--t0", "nan"],
+            ["price-commodity", "--t0", "inf"],
+            ["price-commodity", "--t0", "abc"],
+        ],
+        ids=["baseline_t0", "baseline_sigma", "baseline_strike_nan", "option_strike",
+             "option_t0", "equity_futures_t0", "commodity_t0", "not_a_number"],
+    )
+    def test_non_finite_number_is_a_usage_error(self, fixture_files, tmp_path, capsys, argv):
+        _, prices_path, contracts_path, _, _ = fixture_files
+        cfg_path = write_config(
+            tmp_path / "cfg.txt", data__prices=prices_path, contracts__file=contracts_path,
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--config", str(cfg_path), *argv])
+        assert exc.value.code == 2
+        assert "invalid finite float value" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -217,6 +217,18 @@ def test_non_finite_value_rejected(tmp_path, kind, value):
         load(path)
 
 
+@pytest.mark.parametrize("cell", ["20210106", "2021-W01-3"], ids=["basic", "week"])
+@pytest.mark.parametrize("kind", ["dividends", "prices", "quotes"])
+def test_date_other_than_yyyy_mm_dd_rejected(tmp_path, kind, cell):
+    """Other ISO-8601 forms of 2021-01-06 are bad dates on every Python version,
+    though `date.fromisoformat` reads them from 3.11 on."""
+    load, header, (first, second) = LOADERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(f"{header}\n{first}\n{second}\n{cell},{second.split(',', 1)[1]}\n")
+    with pytest.raises(MarketDataError, match=rf"{kind}\.csv: bad date '{cell}' at row 4"):
+        load(path)
+
+
 @pytest.mark.parametrize("kind", sorted(LOADERS))
 def test_byte_order_mark_accepted(tmp_path, kind):
     """A UTF-8 byte-order mark before the header, as spreadsheet programs write it, is read."""
