@@ -82,7 +82,8 @@ class ExperimentConfig:
     Each field declares its config file key through ``_key``, and a value
     is parsed with the field's type; a field that ``GanConfig`` shares by
     name is handed to the GAN (``gan_config_from``), and all of them but T
-    take their default from ``GanConfig`` (``_gan_key``).
+    take their default from ``GanConfig`` (``_gan_key``). The GAN's
+    architecture, optimiser and collapse thresholds are ``GanConfig``'s own.
 
     The stride probe is the first min(probe_epochs, epochs) epochs of the
     full GAN training run (see ``train_gan``), so a probe_epochs above
@@ -93,7 +94,6 @@ class ExperimentConfig:
     symbol: str = _key("data", "symbol", "")
     dividends_path: str = _key("data", "dividends", "")
     quotes_path: str = _key("data", "quotes", "")
-    quote_id: str = _key("data", "quote_id", "")
     contracts_path: str = _key("contracts", "file", "")
     lr_train_rows: int = _key("contracts", "lr_train_rows", 0)
     model: str = _key("model", "kind", "gan-mc")
@@ -105,17 +105,8 @@ class ExperimentConfig:
     n3: int = _key("model", "N3", 50)
     alpha: float = _key("model", "alpha", 0.8)
     seed: int = _gan_key("model", "seed")
-    noise_dim: int = _gan_key("gan", "noise_dim")
     epochs: int = _gan_key("gan", "epochs")
     batch_size: int = _gan_key("gan", "batch_size")
-    lr_generator: float = _gan_key("gan", "lr_generator")
-    lr_discriminator: float = _gan_key("gan", "lr_discriminator")
-    beta1: float = _gan_key("gan", "beta1")
-    beta2: float = _gan_key("gan", "beta2")
-    adam_eps: float = _gan_key("gan", "adam_eps")
-    delta_loss: float = _gan_key("gan", "delta_loss")
-    eps_std: float = _gan_key("gan", "eps_std")
-    k_epochs: int = _gan_key("gan", "k_epochs")
     probe_epochs: int = _key("gan", "probe_epochs", 200)
     checkpoint_path: str = _key("gan", "checkpoint", "")
 
@@ -466,9 +457,7 @@ def price_commodity_pipeline(cfg: ExperimentConfig, t0_years: float) -> float:
     """End-to-end commodity forward/futures price with empirical carry."""
     if not cfg.quotes_path:
         raise ConfigError("commodity pricing needs [data] quotes")
-    quotes = _stage(
-        "market_data", load_quotes, cfg.quotes_path, cfg.quote_id or cfg.symbol
-    )
+    quotes = _stage("market_data", load_quotes, cfg.quotes_path, cfg.symbol)
     carry = _stage("pricing_futures", estimate_carry, quotes, cfg.r, t0_years, cfg.n3)
     _, tracks = _retained(cfg, "pricing_futures", [t0_years])
     return _stage(

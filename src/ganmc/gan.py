@@ -672,6 +672,8 @@ class _Reader:
 
 def _unpack_net(reader: _Reader) -> MlpParams:
     layer_count = reader.u32()
+    if layer_count == 0:
+        raise CheckpointError("network has no layers")
     weights, biases, activations = [], [], []
     for _ in range(layer_count):
         rows, cols = reader.u32(), reader.u32()

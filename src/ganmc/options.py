@@ -77,19 +77,21 @@ def price_terminals(
     side: str, style: str, terminal: np.ndarray, strike: float, r: float, t0_years: float, dt: float
 ) -> OptionPrice:
     """Discounted mean payoff; for American style, the midpoint of the
-    discounted (lower) and undiscounted (upper) payoff means."""
+    discounted and undiscounted payoff means, which bound it (below a
+    negative rate the discounted mean is the upper bound)."""
     if side == "call":
         mean_payoff = float(np.maximum(terminal - strike, 0.0).mean())
     elif side == "put":
         mean_payoff = float(np.maximum(strike - terminal, 0.0).mean())
     else:
         raise PricingError(f"side must be call or put, got {side!r}")
-    lower = discount_factor(r, t0_years, dt) * mean_payoff
+    discounted = discount_factor(r, t0_years, dt) * mean_payoff
     if style == "european":
-        return OptionPrice(value=lower, lower=lower, upper=lower)
+        return OptionPrice(value=discounted, lower=discounted, upper=discounted)
     if style == "american":
-        value = 0.5 * (lower + mean_payoff)
-        return OptionPrice(value=value, lower=lower, upper=mean_payoff)
+        value = 0.5 * (discounted + mean_payoff)
+        lower, upper = sorted((discounted, mean_payoff))
+        return OptionPrice(value=value, lower=lower, upper=upper)
     raise PricingError(f"style must be european or american, got {style!r}")
 
 

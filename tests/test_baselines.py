@@ -14,7 +14,7 @@ from ganmc.baselines import (
     norm_cdf,
     simulate_gbm_terminals,
 )
-from ganmc.options import PricingError
+from ganmc.options import PricingError, discount_factor
 
 DT = 1 / 252
 
@@ -99,6 +99,14 @@ class TestGbmMcOption:
         eur = gbm_mc_option("call", 100.0, 95.0, 0.05, 0.2, 0.25, 5000, seed=1)
         amer = gbm_mc_option("call", 100.0, 95.0, 0.05, 0.2, 0.25, 5000, seed=1, style="american")
         assert eur < amer
+
+    def test_american_is_midpoint_under_negative_rate(self):
+        r, tau = -0.01, 0.25
+        eur = gbm_mc_option("put", 100.0, 105.0, r, 0.2, tau, 5000, seed=1)
+        amer = gbm_mc_option("put", 100.0, 105.0, r, 0.2, tau, 5000, seed=1, style="american")
+        undiscounted = eur / discount_factor(r, tau, DT)
+        assert amer == pytest.approx(0.5 * (eur + undiscounted), rel=1e-12)
+        assert undiscounted < amer < eur
 
     def test_variance_shrinks_with_paths(self):
         def reprice(n, seed):

@@ -1,11 +1,15 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ganmc
 from ganmc.baselines import bs_price, gbm_mc_option
 from ganmc.cli import main as cli_main
-from ganmc import evaluation
+from ganmc import evaluation, gan
 from ganmc.evaluation import (
     CollapseError,
     ConfigError,
@@ -111,7 +115,6 @@ CONFIG_KEYS = [
     ("data", "symbol", "symbol"),
     ("data", "dividends", "dividends_path"),
     ("data", "quotes", "quotes_path"),
-    ("data", "quote_id", "quote_id"),
     ("contracts", "file", "contracts_path"),
     ("contracts", "lr_train_rows", "lr_train_rows"),
     ("model", "kind", "model"),
@@ -123,17 +126,8 @@ CONFIG_KEYS = [
     ("model", "N3", "n3"),
     ("model", "alpha", "alpha"),
     ("model", "seed", "seed"),
-    ("gan", "noise_dim", "noise_dim"),
     ("gan", "epochs", "epochs"),
     ("gan", "batch_size", "batch_size"),
-    ("gan", "lr_generator", "lr_generator"),
-    ("gan", "lr_discriminator", "lr_discriminator"),
-    ("gan", "beta1", "beta1"),
-    ("gan", "beta2", "beta2"),
-    ("gan", "adam_eps", "adam_eps"),
-    ("gan", "delta_loss", "delta_loss"),
-    ("gan", "eps_std", "eps_std"),
-    ("gan", "k_epochs", "k_epochs"),
     ("gan", "probe_epochs", "probe_epochs"),
     ("gan", "checkpoint", "checkpoint_path"),
 ]
@@ -141,18 +135,21 @@ CONFIG_KEYS = [
 # a value for every field that differs from its default, of the field's type
 NON_DEFAULT = {
     "prices_path": "p.csv", "symbol": "XYZ", "dividends_path": "d.csv",
-    "quotes_path": "q.csv", "quote_id": "FUT2", "contracts_path": "c.csv",
+    "quotes_path": "q.csv", "contracts_path": "c.csv",
     "lr_train_rows": 7, "model": "lr-otm", "r": 0.03, "dt": 0.002, "T": 33,
-    "n1": 11, "n2": 99, "n3": 5, "alpha": 0.6, "seed": 42, "noise_dim": 8,
-    "epochs": 77, "batch_size": 16, "lr_generator": 1e-3, "lr_discriminator": 3e-4,
-    "beta1": 0.6, "beta2": 0.99, "adam_eps": 1e-6, "delta_loss": 0.07, "eps_std": 2e-4,
-    "k_epochs": 9, "probe_epochs": 13, "checkpoint_path": "m.gmc",
+    "n1": 11, "n2": 99, "n3": 5, "alpha": 0.6, "seed": 42,
+    "epochs": 77, "batch_size": 16, "probe_epochs": 13, "checkpoint_path": "m.gmc",
 }
 
 # the hyperparameters the GAN takes from the experiment config
-GAN_SHARED = [
-    "T", "noise_dim", "epochs", "batch_size", "lr_generator", "lr_discriminator",
-    "beta1", "beta2", "adam_eps", "seed", "delta_loss", "eps_std", "k_epochs",
+GAN_SHARED = ["T", "epochs", "batch_size", "seed"]
+
+# keys that are GanConfig's own constants or were never read: a config naming one fails
+REMOVED_KEYS = [("data", "quote_id")] + [
+    ("gan", key) for key in (
+        "noise_dim", "lr_generator", "lr_discriminator", "beta1", "beta2", "adam_eps",
+        "delta_loss", "eps_std", "k_epochs",
+    )
 ]
 
 
@@ -471,6 +468,60 @@ class TestCli:
         assert cli_main(["--config", str(cfg_path), "--out", str(out2), "evaluate"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "r1.csv.meta.txt").exists()
+
+    def test_sidecar_echoes_every_config_field(self, fixture_files, tmp_path):
+        _, prices_path, contracts_path, _, _ = fixture_files
+        cfg_path = write_config(
+            tmp_path / "cfg.txt",
+            data__prices=prices_path, contracts__file=contracts_path, model__kind="bs",
+        )
+        out = tmp_path / "r.csv"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out), "evaluate"]) == 0
+        cfg = parse_config(cfg_path)
+        meta = (tmp_path / "r.csv.meta.txt").read_text().splitlines()
+        assert meta[:2] == [f"version: {ganmc.__version__}", "model: bs"]
+        assert meta[2].startswith("wall_time_seconds: ")
+        assert meta[3] == "config:"
+        assert meta[4:] == [f"{name}={getattr(cfg, name)}" for _, _, name in CONFIG_KEYS]
+        echoed = {line.partition("=")[0] for line in meta[4:]}
+        assert echoed.isdisjoint(key for _, key in REMOVED_KEYS)
+
+    @pytest.mark.parametrize("section, key", REMOVED_KEYS, ids=[k for _, k in REMOVED_KEYS])
+    def test_removed_key_is_unknown_exit_one(self, tmp_path, capsys, section, key):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"[{section}]\n{key} = 1\n")
+        assert cli_main(["--config", str(cfg_path), "evaluate"]) == 1
+        assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+
+    def test_evaluate_american_row_under_negative_rate(self, fixture_files, tmp_path):
+        _, prices_path, contracts_path, _, contracts = fixture_files
+        assert any(style == "american" for _, style, *_ in contracts)
+        cfg_path = write_config(
+            tmp_path / "cfg.txt",
+            data__prices=prices_path, contracts__file=contracts_path, model__kind="mc",
+            model__r="-0.01",
+        )
+        out = tmp_path / "r.csv"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out), "evaluate"]) == 0
+        assert len(out.read_text().splitlines()) == len(contracts) + 2  # header, MAPE
+
+    def test_checkpoint_without_layers_exit_one(self, fixture_files, tmp_path, capsys):
+        _, prices_path, contracts_path, _, _ = fixture_files
+        disc = gan.init_mlp([16, 1], ["sigmoid"], np.random.default_rng(0))
+        body = (gan.CHECKPOINT_MAGIC + struct.pack("<II", gan.CHECKPOINT_VERSION, 0)
+                + gan._pack_net(disc) + struct.pack("<dI", 1.0, 0))  # no generator layers
+        ckpt = tmp_path / "empty.gmc"
+        ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        cfg_path = write_config(
+            tmp_path / "cfg.txt",
+            data__prices=prices_path, contracts__file=contracts_path, model__kind="gan-mc",
+            gan__checkpoint=ckpt,
+        )
+        code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "t.csv"),
+                         "generate", "--count", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "[gan_core]" in err and "no layers" in err
 
     def test_missing_file_exit_two(self, fixture_files, tmp_path):
         _, _, contracts_path, _, _ = fixture_files

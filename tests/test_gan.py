@@ -475,6 +475,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("empty", ["generator", "discriminator"])
+    def test_network_without_layers_rejected(self, empty, rng, tmp_path):
+        model = self._model(rng)
+        nets = {name: gan._pack_net(getattr(model, name)) for name in ("generator", "discriminator")}
+        nets[empty] = struct.pack("<I", 0)  # layer count 0
+        body = (gan.CHECKPOINT_MAGIC + struct.pack("<I", gan.CHECKPOINT_VERSION)
+                + nets["generator"] + nets["discriminator"] + struct.pack("<dI", 1.0, 0))
+        path = tmp_path / "empty.gmc"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match="no layers"):
+            load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.gmc"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -89,6 +89,15 @@ class TestAmerican:
         price = priced("call", "american", tracks, 100.0, 0.05, 4 * DT, DT)
         assert price.value == price.lower == price.upper == 0.0
 
+    @pytest.mark.parametrize("side, terminal", [("call", 110.0), ("put", 90.0)])
+    def test_negative_rate_discounted_mean_is_upper_bound(self, side, terminal):
+        tracks = tracks_with_terminals([terminal] * 3, T=130, k=126)
+        price = priced(side, "american", tracks, 100.0, -0.01, 0.5, DT)
+        discounted = 10.0 * discount_factor(-0.01, 0.5, DT)
+        assert discounted > 10.0
+        assert (price.lower, price.upper) == (10.0, discounted)
+        assert price.value == 0.5 * (discounted + 10.0)
+
 
 class TestInvariants:
     @given(seed=st.integers(0, 1000))
