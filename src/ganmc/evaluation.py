@@ -40,7 +40,7 @@ from .market_data import (
 )
 from .options import OptionContract, PricingError, payoff_index, price_option
 from .similarity import rank_and_select, retained_count
-from .windowing import search_stride
+from .windowing import NoViableStrideError, search_stride
 
 MODEL_KINDS = ("gan-mc", "mc", "bs", "lr", "lr-itm", "lr-otm")
 
@@ -83,7 +83,8 @@ class ExperimentConfig:
     is parsed with the field's type; a field that ``GanConfig`` shares by
     name is handed to the GAN (``gan_config_from``), and all of them but T
     take their default from ``GanConfig`` (``_gan_key``). The GAN's
-    architecture, optimiser and collapse thresholds are ``GanConfig``'s own.
+    architecture, optimiser and collapse thresholds are class constants of
+    ``GanConfig``.
 
     The stride probe is the first min(probe_epochs, epochs) epochs of the
     full GAN training run (see ``train_gan``), so a probe_epochs above
@@ -123,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.probe_epochs < 1:
             raise ConfigError(f"probe_epochs must be positive, got {self.probe_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
@@ -249,7 +252,9 @@ def train_gan(cfg: ExperimentConfig, prices: np.ndarray) -> TrainedPipeline:
     config. The first min(probe_epochs, epochs) epochs of that run are the
     probe: a collapse within them rejects the stride and the search moves
     on. At the first stride that passes, the run is the model; a collapse
-    after the probe epochs raises CollapseError.
+    after the probe epochs raises CollapseError, and so does a search that
+    trained at least one stride and found none that passes. A history too
+    short for N1 windows at d = 1 raises NoViableStrideError.
     """
     prices = np.asarray(prices, dtype=float)
     probe_epochs = min(cfg.probe_epochs, cfg.epochs)
@@ -265,7 +270,12 @@ def train_gan(cfg: ExperimentConfig, prices: np.ndarray) -> TrainedPipeline:
         report = run[1]
         return report.collapsed and report.epochs_run <= probe_epochs
 
-    d, _ = search_stride(prices, cfg.T, cfg.n1, probe)
+    try:
+        d, _ = search_stride(prices, cfg.T, cfg.n1, probe)
+    except NoViableStrideError as exc:
+        if run is None:
+            raise
+        raise CollapseError(str(exc)) from exc
     model, report = run
     if report.collapsed:
         raise CollapseError(f"training collapsed at stride d={d}: {report.collapse_reason}")

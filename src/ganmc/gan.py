@@ -60,9 +60,6 @@ LEVEL_KNOTS = 32
 # smoothed discriminator target for real windows
 REAL_LABEL = 0.9
 
-# generated windows drawn after each epoch for the collapse probe
-PROBE_SIZE = 64
-
 _EPS = 1e-12
 
 
@@ -280,24 +277,31 @@ class Adam:
 
 @dataclass(frozen=True)
 class GanConfig:
+    """One training run: the fields are what a caller sets.
+
+    The class constants are the architecture, the Adam settings, the
+    collapse thresholds and the probe size, the same for every run.
+    """
+
     T: int
-    noise_dim: int = 32
-    gen_hidden: tuple[int, ...] = (128, 256)
-    disc_hidden: tuple[int, ...] = (256, 64)
     epochs: int = 2000
     batch_size: int = 64
-    lr_generator: float = 2e-4
-    lr_discriminator: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     scale: float = 1.0  # a sampled track is transform.inverse(forward(generator, z)) * scale
-    delta_loss: float = 0.05
-    eps_std: float = 1e-4
-    k_epochs: int = 20
-    # not a field; perfbench's flop count (layers.train_flop_per_epoch) reads it here
-    probe_size: ClassVar[int] = PROBE_SIZE
+
+    noise_dim: ClassVar[int] = 32
+    gen_hidden: ClassVar[tuple[int, ...]] = (128, 256)
+    disc_hidden: ClassVar[tuple[int, ...]] = (256, 64)
+    lr_generator: ClassVar[float] = 2e-4
+    lr_discriminator: ClassVar[float] = 2e-4
+    beta1: ClassVar[float] = 0.5
+    beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
+    delta_loss: ClassVar[float] = 0.05
+    eps_std: ClassVar[float] = 1e-4
+    k_epochs: ClassVar[int] = 20
+    # generated windows drawn after each epoch for the collapse probe
+    probe_size: ClassVar[int] = 64
 
     def __post_init__(self):
         """Every scalar hyperparameter but the seed must be positive."""
@@ -406,20 +410,14 @@ class TrainReport:
     epochs_run: int = 0
 
 
-def detect_collapse(
-    discriminator_losses,
-    generator_losses,
-    probe_samples,
-    delta_loss: float,
-    eps_std: float,
-    k_epochs: int,
-) -> str | None:
+def detect_collapse(discriminator_losses, generator_losses, probe_samples) -> str | None:
     """Return a reason string when training has collapsed, else None.
 
-    Collapse: the discriminator loss stayed below delta_loss for
-    k_epochs consecutive epochs, the per-day spread of the probe batch
-    fell below eps_std, or any recorded loss is non-finite.
+    Collapse: the discriminator loss stayed below GanConfig.delta_loss for
+    GanConfig.k_epochs consecutive epochs, the per-day spread of the probe
+    batch fell below GanConfig.eps_std, or any recorded loss is non-finite.
     """
+    delta_loss, eps_std, k_epochs = GanConfig.delta_loss, GanConfig.eps_std, GanConfig.k_epochs
     d_losses = np.asarray(discriminator_losses, dtype=float)
     g_losses = np.asarray(generator_losses, dtype=float)
     if d_losses.size and not np.isfinite(d_losses).all():
@@ -563,7 +561,7 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
         report.generator_losses.append(float(np.mean(g_epoch)))
         report.epochs_run = epoch + 1
 
-        z = rng.standard_normal((PROBE_SIZE, cfg.noise_dim)).astype(np.float32)
+        z = rng.standard_normal((cfg.probe_size, cfg.noise_dim)).astype(np.float32)
         probe = forward(gen, z)
         # earlier epochs' losses were checked already: the trailing k_epochs
         # decide the verdict, which keeps the check O(k_epochs) per epoch
@@ -571,9 +569,6 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
             report.discriminator_losses[-cfg.k_epochs :],
             report.generator_losses[-cfg.k_epochs :],
             probe,
-            cfg.delta_loss,
-            cfg.eps_std,
-            cfg.k_epochs,
         )
         if reason is not None:
             report.collapsed = True

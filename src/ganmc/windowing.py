@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class WindowingError(ValueError):
@@ -50,8 +51,7 @@ def partition(values: Sequence[float] | np.ndarray, d: int, T: int) -> WindowSet
         raise WindowingError(f"series too short: T={T} > n={n}")
     if d > T:
         raise WindowingError(f"stride {d} exceeds window length {T}")
-    count = (n - T) // d + 1
-    windows = np.stack([src[k * d : k * d + T] for k in range(count)])
+    windows = sliding_window_view(src, T)[::d].copy()
     return WindowSet(windows=windows, d=d, T=T)
 
 

@@ -1,5 +1,6 @@
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,6 +231,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^probe_epochs must be positive, got 0$"):
             parse_config(path)
 
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            ExperimentConfig(seed=-1)
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            replace(ExperimentConfig(), seed=-1)
+
     def test_unknown_model_kind(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("[model]\nkind = perceptron\n")
@@ -391,6 +398,29 @@ class TestTrainGan:
     def test_nonpositive_probe_epochs_rejected(self):
         with pytest.raises(ValueError, match="probe_epochs"):
             train_gan(self._cfg(probe_epochs=0), gbm_prices(260, seed=2))
+
+    # 260 prices at T=16: 245 windows at d=1, 16 at d=16
+    EVERY_STRIDE = {d: 3 for d in range(1, 17)}
+
+    def test_collapse_at_every_stride_raises_collapse_error(self, monkeypatch):
+        calls = self._scripted(monkeypatch, self.EVERY_STRIDE)
+        with pytest.raises(CollapseError, match=r"^no viable stride \(d=1: probe collapsed; .*"
+                                                r"d=16: probe collapsed\)$"):
+            train_gan(self._cfg(), gbm_prices(260, seed=2))
+        assert [d for d, _ in calls] == list(range(1, 17))
+
+    @pytest.mark.parametrize("n1, code, trained", [(5, 2, 16), (300, 1, 0)],
+                             ids=["collapse_at_every_stride", "history_too_short_for_n1"])
+    def test_no_viable_stride_exit_code(self, monkeypatch, tmp_path, capsys, n1, code, trained):
+        # a history too short for N1 at d=1 stays a NoViableStrideError, a ValueError
+        calls = self._scripted(monkeypatch, self.EVERY_STRIDE)
+        prices_path = write_price_csv(tmp_path / "prices.csv", gbm_prices(260, seed=2).tolist())
+        cfg_path = write_config(tmp_path / "cfg.txt", data__prices=prices_path,
+                                model__kind="gan-mc", model__N1=n1)
+        argv = ["--config", str(cfg_path), "--out", str(tmp_path / "m.gmc"), "train"]
+        assert cli_main(argv) == code
+        assert "no viable stride (d=1: " in capsys.readouterr().err
+        assert len(calls) == trained
 
 
 class TestGenerateTracks:
@@ -817,6 +847,17 @@ class TestFailBeforeTraining:
     def test_missing_out(self, command_files, tmp_path, no_training, command):
         code = self._exit_code(command_files, tmp_path, command)
         assert (code, no_training) == (1, [])
+
+    @pytest.mark.parametrize(
+        "command",
+        [["--out", "m.gmc", "train"], ["price-option", "--side", "call", "--strike", "100",
+                                       "--t0", repr(10 / 252)]],
+        ids=["train", "price_option"],
+    )
+    def test_negative_seed_flag(self, command_files, tmp_path, no_training, capsys, command):
+        code = self._exit_code(command_files, tmp_path, ["--seed", "-1", *command])
+        assert (code, no_training) == (1, [])
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_generate_count_beyond_retained_set(self, command_files, tmp_path, no_training):
         # N2=64 at alpha 0.8 retains 13 tracks

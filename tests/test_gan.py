@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import zlib
 
@@ -29,11 +30,18 @@ from ganmc.windowing import partition
 from conftest import gbm_prices
 
 
+@pytest.fixture
+def tiny_networks(monkeypatch):
+    """Shrink GanConfig's network constants so a training run takes milliseconds."""
+    for name, value in (("noise_dim", 4), ("gen_hidden", (16,)), ("disc_hidden", (16,))):
+        monkeypatch.setattr(GanConfig, name, value)
+    return monkeypatch
+
+
 def small_training_run(epochs=3):
+    # needs the tiny_networks fixture
     windows = gbm_prices(120, seed=6)[np.arange(100)[:, None] + np.arange(8)]
-    cfg = GanConfig(T=8, noise_dim=4, gen_hidden=(16,), disc_hidden=(16,), epochs=epochs,
-                    batch_size=32, seed=2)
-    return train(windows, cfg)
+    return train(windows, GanConfig(T=8, epochs=epochs, batch_size=32, seed=2))
 
 
 def small_trained_model(epochs=3):
@@ -215,32 +223,36 @@ class TestAdam:
 class TestDetectCollapse:
     def test_identical_probe_windows_collapse(self):
         probe = np.tile(np.array([1.0, 2.0, 3.0]), (16, 1))
-        reason = detect_collapse([1.0] * 30, [1.0] * 30, probe, 0.05, 1e-4, 20)
+        reason = detect_collapse([1.0] * 30, [1.0] * 30, probe)
         assert reason is not None and "spread" in reason
 
     def test_healthy_losses_no_collapse(self, rng):
         d_losses = 1.2 + 0.1 * rng.standard_normal(50)
         g_losses = 0.8 + 0.1 * rng.standard_normal(50)
         probe = rng.uniform(0.0, 1.0, (16, 8))
-        assert detect_collapse(d_losses, g_losses, probe, 0.05, 1e-4, 20) is None
+        assert detect_collapse(d_losses, g_losses, probe) is None
 
     def test_nan_loss_collapses(self, rng):
         probe = rng.uniform(0.0, 1.0, (16, 8))
-        reason = detect_collapse([1.0, float("nan")], [1.0, 1.0], probe, 0.05, 1e-4, 20)
+        reason = detect_collapse([1.0, float("nan")], [1.0, 1.0], probe)
         assert reason is not None and "non-finite" in reason
 
     def test_low_discriminator_loss_run_collapses(self, rng):
         probe = rng.uniform(0.0, 1.0, (16, 8))
         losses = [1.0] * 10 + [0.01] * 20
-        reason = detect_collapse(losses, [1.0] * 30, probe, 0.05, 1e-4, 20)
+        reason = detect_collapse(losses, [1.0] * 30, probe)
         assert reason is not None and "discriminator loss" in reason
 
 
 # every scalar GanConfig field but the seed
-POSITIVE_FIELDS = [
-    "T", "noise_dim", "epochs", "batch_size", "lr_generator", "lr_discriminator", "beta1",
-    "beta2", "adam_eps", "scale", "delta_loss", "eps_std", "k_epochs",
-]
+POSITIVE_FIELDS = ["T", "epochs", "batch_size", "scale"]
+
+# GanConfig's class constants, with their values
+CONSTANTS = {
+    "noise_dim": 32, "gen_hidden": (128, 256), "disc_hidden": (256, 64),
+    "lr_generator": 2e-4, "lr_discriminator": 2e-4, "beta1": 0.5, "beta2": 0.999,
+    "adam_eps": 1e-8, "delta_loss": 0.05, "eps_std": 1e-4, "k_epochs": 20,
+}
 
 
 class TestGanConfig:
@@ -253,17 +265,25 @@ class TestGanConfig:
     def test_seed_zero_accepted(self):
         assert GanConfig(T=8, seed=0).seed == 0
 
+    def test_fields_are_what_a_caller_sets(self):
+        assert [f.name for f in dataclasses.fields(GanConfig)] == [
+            "T", "epochs", "batch_size", "seed", "scale"]
+
+    @pytest.mark.parametrize("name", CONSTANTS)
+    def test_constant_is_not_an_argument(self, name):
+        with pytest.raises(TypeError, match=name):
+            GanConfig(T=8, **{name: CONSTANTS[name]})
+        assert getattr(GanConfig(T=8), name) == CONSTANTS[name]
+
 
 class TestTrain:
-    def test_degenerate_training_set_collapses(self):
+    def test_degenerate_training_set_collapses(self, tiny_networks):
         # all-equal windows: the generator shrinks toward a point mass;
         # the spread threshold is raised so a short run catches it
+        for name, value in (("lr_generator", 1e-3), ("lr_discriminator", 1e-3), ("eps_std", 0.03)):
+            tiny_networks.setattr(GanConfig, name, value)
         windows = np.tile(np.linspace(90.0, 110.0, 8), (64, 1))
-        cfg = GanConfig(
-            T=8, noise_dim=4, gen_hidden=(16,), disc_hidden=(16,),
-            epochs=4000, batch_size=32, scale=110.0, seed=3,
-            lr_generator=1e-3, lr_discriminator=1e-3, eps_std=0.03,
-        )
+        cfg = GanConfig(T=8, epochs=4000, batch_size=32, scale=110.0, seed=3)
         _, report = train(windows, cfg)
         assert report.collapsed
         assert "spread" in report.collapse_reason
@@ -286,6 +306,7 @@ class TestTrain:
         assert not report.collapsed
         assert all(np.isfinite(report.discriminator_losses))
 
+    @pytest.mark.usefixtures("tiny_networks")
     def test_returns_identity_head_and_transform(self):
         model = small_trained_model(epochs=1)
         assert model.generator.activations == ["relu", "identity"]
@@ -293,6 +314,7 @@ class TestTrain:
         assert model.transform.mean.shape == model.transform.std.shape == (8,)
         assert len(model.transform.level_knots) >= 1
 
+    @pytest.mark.usefixtures("tiny_networks")
     def test_returns_float64_nets_of_float32_values(self):
         # trained in float32 and cast once at the end; checkpoint format 2
         # stores them exactly (TestCheckpoint::test_round_trip_trained_model)
@@ -302,6 +324,7 @@ class TestTrain:
             np.testing.assert_array_equal(net.params.astype(np.float32).astype(float), net.params)
 
     @pytest.mark.parametrize("level", [0.0, 1.0])
+    @pytest.mark.usefixtures("tiny_networks")
     def test_saturated_discriminator_keeps_losses_finite(self, level, monkeypatch):
         # a float32 sigmoid rounds to exactly 0 or 1, where 1 - 1e-12 is 1.0
         # in float32: a clipped log taken in float32 would be -inf
@@ -442,6 +465,7 @@ class TestCheckpoint:
         for a, b in zip(model.generator.weights, loaded.generator.weights):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.usefixtures("tiny_networks")
     def test_round_trip_trained_model(self, tmp_path):
         model = small_trained_model()
         path = tmp_path / "model.gmc"
@@ -464,6 +488,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=rf"{version} unsupported \(expected 2\)$"):
             load_checkpoint(path)
 
+    @pytest.mark.usefixtures("tiny_networks")
     def test_truncated_transform_section(self, tmp_path):
         model = small_trained_model(epochs=1)
         path = tmp_path / "model.gmc"
