@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation error (bad config, bad inputs),
 2 runtime or numeric error (training collapse, pipeline failures) or a
-malformed argument, which argparse reports as a usage error.
+malformed argument, which argparse reports as a usage error. A pipeline
+``StageError`` exits with the code of its ``__cause__``.
 """
 
 from __future__ import annotations
@@ -58,11 +59,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="emit generated price tracks as CSV")
     gen.add_argument("--count", type=int, required=True, help="number of tracks")
 
-    opt = sub.add_parser("price-option", help="price one option contract")
-    opt.add_argument("--side", choices=["call", "put"], required=True)
-    opt.add_argument("--style", choices=["european", "american"], default="european")
-    opt.add_argument("--strike", type=_finite_float, required=True)
-    opt.add_argument("--t0", type=_finite_float, required=True, help="years to expiry")
+    contract = argparse.ArgumentParser(add_help=False)
+    contract.add_argument("--side", choices=["call", "put"], required=True)
+    contract.add_argument("--style", choices=["european", "american"], default="european")
+    contract.add_argument("--strike", type=_finite_float, required=True)
+    contract.add_argument("--t0", type=_finite_float, required=True, help="years to expiry")
+
+    sub.add_parser("price-option", parents=[contract], help="price one option contract")
 
     eqf = sub.add_parser("price-equity-futures", help="price one equity futures contract")
     eqf.add_argument("--t0", type=_finite_float, required=True, help="years to delivery")
@@ -72,17 +75,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("evaluate", help="price the contract fixture and report MAPE")
 
-    base = sub.add_parser("baseline", help="European closed-form or GBM-MC price for one option")
+    base = sub.add_parser("baseline", parents=[contract],
+                          help="European closed-form or GBM-MC price for one option")
     base.add_argument("--model", choices=["bs", "mc"], required=True)
-    base.add_argument("--side", choices=["call", "put"], required=True)
-    base.add_argument("--style", choices=["european", "american"], default="european")
-    base.add_argument("--strike", type=_finite_float, required=True)
-    base.add_argument("--t0", type=_finite_float, required=True)
     base.add_argument("--sigma", type=_finite_float, required=True)
     return parser
 
 
 def _run(args) -> int:
+    """Run one parsed command; every failure raises, so a return is exit 0."""
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -94,41 +95,27 @@ def _run(args) -> int:
         pipe = train_gan(cfg, np.asarray(series.prices))
         save_checkpoint(pipe.model, args.out)
         print(f"trained at stride d={pipe.d}, checkpoint written to {args.out}")
-        return 0
-
-    if args.command == "generate":
+    elif args.command == "generate":
         generate_tracks_csv(cfg, args.count, args.out)
         print(f"wrote {args.count} tracks to {args.out}")
-        return 0
-
-    if args.command == "price-option":
+    elif args.command == "price-option":
         contract = OptionContract(args.side, args.style, args.strike, args.t0)
         print(f"{price_option_pipeline(cfg, contract):.6f}")
-        return 0
-
-    if args.command == "price-equity-futures":
+    elif args.command == "price-equity-futures":
         print(f"{price_equity_futures_pipeline(cfg, args.t0):.6f}")
-        return 0
-
-    if args.command == "price-commodity":
+    elif args.command == "price-commodity":
         print(f"{price_commodity_pipeline(cfg, args.t0):.6f}")
-        return 0
-
-    if args.command == "evaluate":
+    elif args.command == "evaluate":
         report = run_pipeline(cfg)
         write_report(report, args.out)
         print(f"{report.model} MAPE {report.mape_percent:.4f}% over {len(report.rows)} contracts")
-        return 0
-
-    if args.command == "baseline":
+    else:  # baseline: argparse accepts no other command
         if args.model == "bs" and args.style == "american":
             raise ConfigError("baseline --model bs prices European options only")
         contract = OptionContract(args.side, args.style, args.strike, args.t0)
         spot = load_price_series(cfg.prices_path, cfg.symbol).prices[-1]
         print(f"{baseline_price(args.model, contract, spot, args.sigma, cfg, cfg.seed):.6f}")
-        return 0
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -137,7 +124,7 @@ def main(argv=None) -> int:
         return _run(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
-        cause = exc.cause if isinstance(exc, StageError) else exc
+        cause = exc.__cause__ if isinstance(exc, StageError) else exc
         return 1 if isinstance(cause, ValueError) else 2
 
 

@@ -50,12 +50,12 @@ class ConfigError(ValueError):
 
 
 class StageError(RuntimeError):
-    """Pipeline failure annotated with the stage that raised it."""
+    """Pipeline failure annotated with the stage that raised it; the failure
+    itself is ``__cause__``, whether or not the raise says ``from``."""
 
     def __init__(self, stage: str, cause: Exception):
-        self.stage = stage
-        self.cause = cause
         super().__init__(f"[{stage}] {cause}")
+        self.__cause__ = cause
 
 
 class CollapseError(RuntimeError):
@@ -67,14 +67,6 @@ def _key(section: str, key: str, default):
     return field(default=default, metadata={"key": (section, key)})
 
 
-_GAN_DEFAULTS = {f.name: f.default for f in fields(GanConfig)}
-
-
-def _gan_key(section: str, key: str):
-    """A ``_key`` field named like its key, with the default of GanConfig's field."""
-    return _key(section, key, _GAN_DEFAULTS[key])
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: data files, model kind and hyperparameters.
@@ -82,9 +74,10 @@ class ExperimentConfig:
     Each field declares its config file key through ``_key``, and a value
     is parsed with the field's type; a field that ``GanConfig`` shares by
     name is handed to the GAN (``gan_config_from``), and all of them but T
-    take their default from ``GanConfig`` (``_gan_key``). The GAN's
-    architecture, optimiser and collapse thresholds are class constants of
-    ``GanConfig``.
+    take their default from ``GanConfig``. The GAN's architecture, optimiser
+    and collapse thresholds are class constants of ``GanConfig``. Every
+    number but lr_train_rows, which must split the contract fixture, is
+    checked here, whatever the command, before any file is read.
 
     The stride probe is the first min(probe_epochs, epochs) epochs of the
     full GAN training run (see ``train_gan``), so a probe_epochs above
@@ -105,9 +98,9 @@ class ExperimentConfig:
     n2: int = _key("model", "N2", 5120)
     n3: int = _key("model", "N3", 50)
     alpha: float = _key("model", "alpha", 0.8)
-    seed: int = _gan_key("model", "seed")
-    epochs: int = _gan_key("gan", "epochs")
-    batch_size: int = _gan_key("gan", "batch_size")
+    seed: int = _key("model", "seed", GanConfig.seed)
+    epochs: int = _key("gan", "epochs", GanConfig.epochs)
+    batch_size: int = _key("gan", "batch_size", GanConfig.batch_size)
     probe_epochs: int = _key("gan", "probe_epochs", 200)
     checkpoint_path: str = _key("gan", "checkpoint", "")
 
@@ -118,10 +111,18 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
         if self.T < 1:
             raise ConfigError(f"T must be >= 1, got {self.T}")
+        if self.n1 < 1:
+            raise ConfigError(f"N1 must be >= 1, got {self.n1}")
         if self.n2 < 1:
             raise ConfigError(f"N2 must be >= 1, got {self.n2}")
+        if self.n3 < 0:
+            raise ConfigError(f"N3 must be >= 0, got {self.n3}")
         if not self.dt > 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be positive, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.probe_epochs < 1:
             raise ConfigError(f"probe_epochs must be positive, got {self.probe_epochs}")
         if self.seed < 0:

@@ -403,11 +403,19 @@ def _interp_linear(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrainReport:
+    """One loss of each network per epoch run, and why training stopped early, if it did."""
+
     generator_losses: list[float] = field(default_factory=list)
     discriminator_losses: list[float] = field(default_factory=list)
-    collapsed: bool = False
     collapse_reason: str | None = None
-    epochs_run: int = 0
+
+    @property
+    def collapsed(self) -> bool:
+        return self.collapse_reason is not None
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.discriminator_losses)
 
 
 def detect_collapse(discriminator_losses, generator_losses, probe_samples) -> str | None:
@@ -522,7 +530,7 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
     labels = np.repeat([[REAL_LABEL], [0.0]], b, axis=0)
     report = TrainReport()
 
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
         real_epoch = x_std[rng.permutation(m)]
         # start levels drawn apart from the paths (see the docstring)
         real_epoch[:, 0] = x_std[rng.permutation(m), 0]
@@ -559,7 +567,6 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
 
         report.discriminator_losses.append(float(np.mean(d_epoch)))
         report.generator_losses.append(float(np.mean(g_epoch)))
-        report.epochs_run = epoch + 1
 
         z = rng.standard_normal((cfg.probe_size, cfg.noise_dim)).astype(np.float32)
         probe = forward(gen, z)
@@ -571,7 +578,6 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
             probe,
         )
         if reason is not None:
-            report.collapsed = True
             report.collapse_reason = reason
             break
 

@@ -185,6 +185,11 @@ class TestConfigParsing:
             assert getattr(gan_defaults, name) != getattr(cfg, name), name
         assert gan_cfg.scale == 2.5
 
+    def test_gan_defaults_are_gan_configs(self):
+        defaults = ExperimentConfig()
+        for name in ("seed", "epochs", "batch_size"):  # T has no GanConfig default
+            assert getattr(defaults, name) == getattr(GanConfig, name), name
+
     def test_round_trip_values(self, tmp_path):
         path = write_config(
             tmp_path / "cfg.txt",
@@ -303,6 +308,28 @@ class TestRunPipeline:
         assert [row[0] for row in report.rows] == [str(i) for i in range(15, 20)]
         assert report.mape_percent < 0.1  # affine data is recovered
 
+    @pytest.mark.parametrize(
+        "kind, split, message, cause",
+        [("lr", "0", "[baselines] lr_train_rows=0 must split 8 contracts", ConfigError),
+         ("lr-itm", "4", "[eval] no contracts to evaluate", PricingError)],
+        ids=["lr_train_rows_out_of_range", "no_contract_in_regime"],
+    )
+    def test_stage_error_keeps_its_cause(self, tmp_path, kind, split, message, cause):
+        # the four training rows are calls in the money, the four test rows out of it
+        prices = gbm_prices(300, seed=4)
+        prices_path = write_price_csv(tmp_path / "prices.csv", prices.tolist())
+        rows = [("call", "european", round(m * prices[-1], 4), 21 * (1 + i % 3) / 252, 0.2, 5.0 + i)
+                for i, m in enumerate((0.8, 0.85, 0.9, 0.95, 1.05, 1.1, 1.15, 1.2))]
+        contracts_path = write_contracts(tmp_path / "contracts.csv", rows)
+        cfg_path = write_config(
+            tmp_path / "cfg.txt", data__prices=prices_path, contracts__file=contracts_path,
+            model__kind=kind, contracts__lr_train_rows=split,
+        )
+        with pytest.raises(StageError) as exc:
+            run_pipeline(parse_config(cfg_path))
+        assert str(exc.value) == message
+        assert isinstance(exc.value.__cause__, cause)
+
     def test_zero_actual_names_fixture_row(self, tmp_path):
         # contract 7 (file row 9) lies past lr_train_rows, so it is the second
         # reported row: the loader, not mape, must name it
@@ -365,11 +392,10 @@ class TestTrainGan:
             d = len(calls) + 1
             calls.append((d, cfg.epochs))
             stop = collapse_at.get(d)
-            report = TrainReport(epochs_run=cfg.epochs if stop is None else stop)
-            if stop is not None:
-                report.collapsed = True
-                report.collapse_reason = "scripted"
-            return object(), report
+            epochs = cfg.epochs if stop is None else stop
+            losses = [1.0] * epochs
+            reason = None if stop is None else "scripted"
+            return object(), TrainReport(losses, losses, collapse_reason=reason)
 
         monkeypatch.setattr(evaluation, "train", fake_train)
         return calls
@@ -841,6 +867,24 @@ class TestFailBeforeTraining:
         }[command]
         code = self._exit_code(command_files, tmp_path, argv, **{key: value})
         assert (code, no_training) == (1, [])
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("model__N1", "0", "N1 must be >= 1, got 0"),
+         ("model__N3", "-1", "N3 must be >= 0, got -1"),
+         ("gan__epochs", "0", "epochs must be positive, got 0"),
+         ("gan__batch_size", "0", "batch_size must be positive, got 0")],
+        ids=["N1_zero", "N3_negative", "epochs_zero", "batch_size_zero"],
+    )
+    def test_config_number_unused_by_the_command(self, command_files, tmp_path, capsys, key,
+                                                 value, message):
+        # a checkpoint is loaded, so price-option itself reads none of these numbers
+        _, _, checkpoint = command_files
+        argv = ["price-option", "--side", "call", "--strike", "100", "--t0", repr(10 / 252)]
+        code = self._exit_code(command_files, tmp_path, argv,
+                               gan__checkpoint=checkpoint, **{key: value})
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", [["train"], ["generate", "--count", "5"], ["evaluate"]],
                              ids=["train", "generate", "evaluate"])

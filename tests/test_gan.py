@@ -15,6 +15,7 @@ from ganmc.gan import (
     GanError,
     GanModel,
     MlpParams,
+    TrainReport,
     WindowTransform,
     backward,
     detect_collapse,
@@ -242,6 +243,19 @@ class TestDetectCollapse:
         losses = [1.0] * 10 + [0.01] * 20
         reason = detect_collapse(losses, [1.0] * 30, probe)
         assert reason is not None and "discriminator loss" in reason
+
+
+class TestTrainReport:
+    def test_outcome_is_derived_from_losses_and_reason(self):
+        report = TrainReport([0.7, 0.6], [1.2, 1.1], collapse_reason="x")
+        assert report.collapsed and report.epochs_run == 2
+        healthy = TrainReport([0.7], [1.2])
+        assert not healthy.collapsed and healthy.epochs_run == 1
+
+    @pytest.mark.parametrize("name", ["collapsed", "epochs_run"])
+    def test_outcome_cannot_be_assigned(self, name):
+        with pytest.raises(AttributeError):
+            setattr(TrainReport(), name, 1)
 
 
 # every scalar GanConfig field but the seed
