@@ -1,10 +1,11 @@
 """Experiment configs, the end-to-end pricing pipeline, and MAPE scoring.
 
 Config files are plain key=value text with [section] headers; unknown
-sections or keys are hard errors so hyperparameter typos cannot pass
-silently. Reports are CSV rows plus a trailing MAPE summary line, with
-run metadata (config echo, version, wall time) in a sidecar file so
-the report itself is byte-identical across reruns of the same seed.
+sections or keys, and a key given twice, are hard errors so
+hyperparameter typos cannot pass silently. Reports are CSV rows plus a
+trailing MAPE summary line, with run metadata (config echo, version,
+wall time) in a sidecar file so the report itself is byte-identical
+across reruns of the same seed.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ class ExperimentConfig:
     name is handed to the GAN (``gan_config_from``), and all of them but T
     take their default from ``GanConfig``. The GAN's architecture, optimiser
     and collapse thresholds are class constants of ``GanConfig``. Every
-    number but lr_train_rows, which must split the contract fixture, is
-    checked here, whatever the command, before any file is read.
+    number is checked here, whatever the command, before any file is read;
+    only lr_train_rows's upper end, which depends on the length of the
+    contract fixture, is left to the lr models.
 
     The stride probe is the first min(probe_epochs, epochs) epochs of the
     full GAN training run (see ``train_gan``), so a probe_epochs above
@@ -127,6 +129,8 @@ class ExperimentConfig:
             raise ConfigError(f"probe_epochs must be positive, got {self.probe_epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.lr_train_rows < 0:
+            raise ConfigError(f"lr_train_rows must be >= 0, got {self.lr_train_rows}")
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
@@ -140,9 +144,10 @@ _SECTIONS = {section for section, _ in _CONFIG_SCHEMA}
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a key=value config file; unknown sections or keys and non-finite
-    floats are errors."""
+    """Parse a key=value config file; unknown sections or keys, a key given
+    twice and non-finite floats are errors."""
     values: dict[str, object] = {}
+    seen: dict[str, int] = {}  # field name -> the line that set it
     section = None
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -164,6 +169,10 @@ def parse_config(path) -> ExperimentConfig:
             if (section, key) not in _CONFIG_SCHEMA:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r} in [{section}]")
             name, parser = _CONFIG_SCHEMA[(section, key)]
+            if name in seen:
+                raise ConfigError(f"{path}:{line_no}: key {key!r} in [{section}] "
+                                  f"already given on line {seen[name]}")
+            seen[name] = line_no
             try:
                 values[name] = parser(value)
                 if parser is float and not math.isfinite(values[name]):

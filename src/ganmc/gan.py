@@ -4,7 +4,9 @@ All network math is explicit numpy: forward passes, backpropagation,
 and Adam updates, so gradients can be verified against finite
 differences. ``train`` runs its minibatch loop in float32 and returns
 float64 networks of float32 values; ``sample`` runs the generator in
-float32 too and returns float64 tracks. Pricing and checkpoints are
+float32 too and returns float64 tracks. It draws the noise one block of
+tracks at a time and finishes each block in place in the track matrix,
+so it holds the tracks plus one block. Pricing and checkpoints are
 float64. Training and sampling are deterministic given the seed,
 numpy/BLAS build and thread count.
 
@@ -48,9 +50,10 @@ _TAG_TO_ACT = {v: k for k, v in _ACT_TO_TAG.items()}
 # positive floor for sampled prices, as a fraction of the scale
 TRACK_FLOOR_FRACTION = 1e-6
 
-# rows of noise sampled per forward pass: a 256-wide float32 hidden block of
+# rows of noise drawn per forward pass: a 256-wide float32 hidden block of
 # this many rows is 1 MiB and stays in L2, and the block's tracks are
-# finished (inverse transform, scale, floor) while they are still there
+# finished (inverse transform, scale, floor) in place in the track matrix
+# while they are still there
 SAMPLE_BLOCK_ROWS = 1024
 
 # knots of the piecewise-linear map between log start levels and a normal
@@ -368,8 +371,10 @@ class WindowTransform:
         coords = _window_coords(_log_windows(windows), self.level_knots, self.normal_knots)
         return (coords - self.mean) / self.std
 
-    def inverse(self, coords) -> np.ndarray:
-        c = np.asarray(coords, dtype=float) * self.std
+    def inverse(self, coords, out: np.ndarray | None = None) -> np.ndarray:
+        """Prices of the windows at standardised coordinates, written into
+        ``out`` (a float64 array of their shape) when given."""
+        c = np.multiply(coords, self.std, out=out)
         c += self.mean
         log_x0 = _interp_linear(c[:, :1], self.normal_knots, self.level_knots)
         c[:, 1:] += log_x0
@@ -589,26 +594,29 @@ def sample(model: GanModel, n2: int, seed: int) -> np.ndarray:
 
     A track is transform.inverse(forward(generator, z)) * scale, or
     forward(generator, z) * scale for a model without a transform. The
-    generator runs in float32, as in training: the noise is drawn in
-    float64, so a seed draws the same stream, and cast. It is run through
-    the generator in even blocks of at most SAMPLE_BLOCK_ROWS rows, which
-    give the rows of one pass; each block's output is cast back to float64
-    and put through the inverse transform, the scale and the floor before
-    the next block is generated.
+    tracks are made in order, in even blocks of at most SAMPLE_BLOCK_ROWS
+    rows. Each block draws its noise in float64 from the seed's one
+    generator, so the blocks draw the stream of one (n2, noise_dim) draw,
+    and casts it for the float32 generator, as in training; the output is
+    finished in place in the block's rows of the float64 track matrix
+    (inverse transform, scale, floor). A call holds the tracks plus one
+    block.
     """
     if n2 < 1:
         raise GanError(f"sample count must be >= 1, got {n2}")
-    z = np.random.default_rng(seed).standard_normal((n2, model.noise_dim)).astype(np.float32)
+    rng = np.random.default_rng(seed)
     gen = model.generator.astype(np.float32)
     tracks = np.empty((n2, model.T))
     # even blocks, no short tail: BLAS runs matmuls of a few rows on a
     # small-matrix path whose rows differ from a large matmul's in the last bit
-    blocks = -(-n2 // SAMPLE_BLOCK_ROWS)
-    for z_rows, rows in zip(np.array_split(z, blocks), np.array_split(tracks, blocks)):
-        out = forward(gen, z_rows).astype(float)
+    for rows in np.array_split(tracks, -(-n2 // SAMPLE_BLOCK_ROWS)):
+        z = rng.standard_normal((len(rows), model.noise_dim)).astype(np.float32)
+        out = forward(gen, z)
         if model.transform is not None:
-            out = model.transform.inverse(out)
-        np.multiply(out, model.scale, out=rows)
+            model.transform.inverse(out, out=rows)
+        else:
+            rows[...] = out
+        rows *= model.scale
         np.maximum(rows, TRACK_FLOOR_FRACTION * model.scale, out=rows)
     return tracks
 

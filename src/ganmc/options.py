@@ -77,8 +77,9 @@ def price_terminals(
     side: str, style: str, terminal: np.ndarray, strike: float, r: float, t0_years: float, dt: float
 ) -> OptionPrice:
     """Discounted mean payoff; for American style, the midpoint of the
-    discounted and undiscounted payoff means, which bound it (below a
-    negative rate the discounted mean is the upper bound)."""
+    discounted and undiscounted payoff means, with the smaller mean as
+    ``lower`` and the larger as ``upper``. The two means do not bound the
+    American value: ``upper`` can lie below it."""
     if side == "call":
         mean_payoff = float(np.maximum(terminal - strike, 0.0).mean())
     elif side == "put":

@@ -208,6 +208,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(path)
 
+    def test_key_given_twice_is_hard_error(self, tmp_path):
+        # the section may open again; the key may not be set again
+        path = tmp_path / "cfg.txt"
+        path.write_text("[model]\nN2 = 5120\n[gan]\nepochs = 5\n[model]\nN2 = 64\n")
+        with pytest.raises(ConfigError, match=r"^\S*cfg\.txt:6: key 'N2' in \[model\] "
+                                              r"already given on line 2$"):
+            parse_config(path)
+
     def test_unknown_section_is_hard_error(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("[misc]\nx = 1\n")
@@ -873,8 +881,10 @@ class TestFailBeforeTraining:
         [("model__N1", "0", "N1 must be >= 1, got 0"),
          ("model__N3", "-1", "N3 must be >= 0, got -1"),
          ("gan__epochs", "0", "epochs must be positive, got 0"),
-         ("gan__batch_size", "0", "batch_size must be positive, got 0")],
-        ids=["N1_zero", "N3_negative", "epochs_zero", "batch_size_zero"],
+         ("gan__batch_size", "0", "batch_size must be positive, got 0"),
+         ("contracts__lr_train_rows", "-3", "lr_train_rows must be >= 0, got -3")],
+        ids=["N1_zero", "N3_negative", "epochs_zero", "batch_size_zero",
+             "lr_train_rows_negative"],
     )
     def test_config_number_unused_by_the_command(self, command_files, tmp_path, capsys, key,
                                                  value, message):

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -415,11 +416,28 @@ class TestSample:
 
     @pytest.mark.parametrize("n2", [1, SAMPLE_BLOCK_ROWS - 1, SAMPLE_BLOCK_ROWS,
                                     SAMPLE_BLOCK_ROWS + 1, 2 * SAMPLE_BLOCK_ROWS + 3])
-    def test_blocks_bit_equal_to_one_pass(self, n2, rng):
+    def test_blocks_bit_equal_to_one_pass(self, n2, rng, monkeypatch):
         model = self._served_model(rng)
         z = np.random.default_rng(5).standard_normal((n2, 32))
         one_pass = forward(model.generator.astype(np.float32), z).astype(float)
-        np.testing.assert_array_equal(sample(model, n2, seed=5), self._tracks(model, one_pass))
+        # each block draws its own noise, in block order, whatever the block size
+        for block_rows in (SAMPLE_BLOCK_ROWS, 256, 4096):
+            monkeypatch.setattr(gan, "SAMPLE_BLOCK_ROWS", block_rows)
+            np.testing.assert_array_equal(sample(model, n2, seed=5), self._tracks(model, one_pass))
+
+    def test_memory_beyond_the_tracks_does_not_grow_with_n2(self, rng):
+        # a call holds the track matrix plus one block: no n2-row noise matrix
+        model = self._served_model(rng)
+        sample(model, SAMPLE_BLOCK_ROWS, seed=5)  # one-off first-call allocations
+        extra = []
+        for blocks in (2, 32):
+            tracemalloc.start()
+            try:
+                tracks = sample(model, blocks * SAMPLE_BLOCK_ROWS, seed=5)
+                extra.append(tracemalloc.get_traced_memory()[1] - tracks.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert abs(extra[1] - extra[0]) < 0.5 * 2**20
 
     def test_float32_tracks_match_float64_reference(self, rng):
         model = self._served_model(rng)
@@ -461,6 +479,15 @@ class TestWindowTransform:
     def test_nonpositive_windows_rejected(self):
         with pytest.raises(GanError, match="positive"):
             WindowTransform.fit(np.array([[1.0, 0.0], [1.0, 2.0]]))
+
+    def test_inverse_into_out_is_bit_equal(self):
+        # float32 coordinates, as the generator emits them, some past the end knots
+        windows = gbm_prices(300, seed=2)[np.arange(40)[:, None] + np.arange(16)]
+        transform = WindowTransform.fit(windows)
+        coords = (3.0 * np.random.default_rng(1).standard_normal((50, 16))).astype(np.float32)
+        buf = np.empty((50, 16))
+        assert transform.inverse(coords, out=buf) is buf
+        np.testing.assert_array_equal(buf, transform.inverse(coords))
 
 
 class TestCheckpoint:
