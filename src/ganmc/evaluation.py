@@ -1,11 +1,14 @@
 """Experiment configs, the end-to-end pricing pipeline, and MAPE scoring.
 
-Config files are plain key=value text with [section] headers; unknown
-sections or keys, and a key given twice, are hard errors so
-hyperparameter typos cannot pass silently. Reports are CSV rows plus a
-trailing MAPE summary line, with run metadata (config echo, version,
-wall time) in a sidecar file so the report itself is byte-identical
-across reruns of the same seed.
+Config files are plain key=value text with [section] headers, and may
+start with a UTF-8 byte-order mark; unknown sections or keys, and a key
+given twice, are hard errors so hyperparameter typos cannot pass silently.
+Every GAN-MC command reads its tracks through `_retained`, which samples
+and ranks once and gives each payoff day k the retained paths from day 1
+to day k; each pricer reads day k, their last column. Reports are CSV rows
+plus a trailing MAPE summary line, with run metadata (config echo,
+version, wall time) in a sidecar file so the report itself is
+byte-identical across reruns of the same seed.
 """
 
 from __future__ import annotations
@@ -149,7 +152,7 @@ def parse_config(path) -> ExperimentConfig:
     values: dict[str, object] = {}
     seen: dict[str, int] = {}  # field name -> the line that set it
     section = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -327,17 +330,22 @@ def _load_prices(cfg: ExperimentConfig) -> PriceSeries:
 
 def _retained(
     cfg: ExperimentConfig, stage: str = "", t0s: Iterable[float] = ()
-) -> tuple[PriceSeries, np.ndarray]:
-    """Every GAN-MC command's tracks: check each payoff day in `t0s` under
-    `stage` (so a bad day fails before any training), then load the history,
-    obtain the model and keep the most similar of N2 tracks to the last T prices.
+) -> tuple[PriceSeries, np.ndarray, dict[float, np.ndarray]]:
+    """The one reading of every GAN-MC command.
+
+    It finds the payoff day k = T0/dt of each T0 in `t0s` under `stage` (so
+    a bad day fails before any training), then loads the history, obtains
+    the model, samples N2 tracks once and keeps the most similar to the last
+    T prices, ranked once over all T days. It returns the history, the
+    retained tracks and, for each T0, the retained paths from day 1 to day k:
+    a view of the tracks whose last column is day k.
     """
-    for t0_years in t0s:
-        _stage(stage, payoff_index, t0_years, cfg.dt, cfg.T)
+    days = {t0_years: _stage(stage, payoff_index, t0_years, cfg.dt, cfg.T) for t0_years in t0s}
     series = _load_prices(cfg)
     prices = np.asarray(series.prices, dtype=float)
     model = _stage("gan_core", obtain_model, cfg, prices)
-    return series, _stage("similarity", selected_tracks, model, prices[-cfg.T :], cfg)
+    kept = _stage("similarity", selected_tracks, model, prices[-cfg.T :], cfg)
+    return series, kept, {t0_years: kept[:, :k] for t0_years, k in days.items()}
 
 
 def baseline_price(
@@ -359,7 +367,7 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
     contracts = _stage("market_data", load_contracts, cfg.contracts_path)
     if cfg.model == "gan-mc":
         t0s = [row.contract.t0_years for row in contracts]
-        series, tracks = _retained(cfg, "pricing_options", t0s)
+        series, _, paths = _retained(cfg, "pricing_options", t0s)
     else:
         series = _load_prices(cfg)
     spot = series.prices[-1]
@@ -389,7 +397,9 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
                 "baselines", baseline_price, cfg.model, c, spot, row.sigma, cfg, cfg.seed + i
             )
         elif cfg.model == "gan-mc":
-            predicted = _stage("pricing_options", price_option, c, tracks, cfg.r, cfg.dt).value
+            predicted = _stage(
+                "pricing_options", price_option, c, paths[c.t0_years], cfg.r, cfg.dt
+            ).value
         else:
             moneyness_row = (spot, c.strike, c.t0_years, c.side)
             try:
@@ -438,7 +448,7 @@ def generate_tracks_csv(cfg: ExperimentConfig, count: int, out_path: str) -> Non
     keep = retained_count(cfg.n2, cfg.alpha)
     if not 1 <= count <= keep:
         raise ConfigError(f"count must be in 1..{keep}, the retained set size, got {count}")
-    _, tracks = _retained(cfg)
+    _, tracks, _ = _retained(cfg)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["track_id", "day_offset", "price"])
@@ -457,9 +467,10 @@ def price_equity_futures_pipeline(cfg: ExperimentConfig, t0_years: float) -> flo
         raise ConfigError("equity futures pricing needs [data] dividends")
     dividends = _stage("market_data", load_dividends, cfg.dividends_path, cfg.symbol)
     fit = _stage("pricing_futures", fit_dividends, dividends)
-    series, tracks = _retained(cfg, "pricing_futures", [t0_years])
-    k = payoff_index(t0_years, cfg.dt, cfg.T)
-    t_star = int(np.busday_count(dividends.origin, series.dates[-1])) + k
+    series, _, paths = _retained(cfg, "pricing_futures", [t0_years])
+    tracks = paths[t0_years]
+    # the paths end on the payoff day k
+    t_star = int(np.busday_count(dividends.origin, series.dates[-1])) + tracks.shape[1]
     forecast = predict_dividend(fit, t_star)
     return _stage(
         "pricing_futures",
@@ -479,13 +490,14 @@ def price_commodity_pipeline(cfg: ExperimentConfig, t0_years: float) -> float:
         raise ConfigError("commodity pricing needs [data] quotes")
     quotes = _stage("market_data", load_quotes, cfg.quotes_path, cfg.symbol)
     carry = _stage("pricing_futures", estimate_carry, quotes, cfg.r, t0_years, cfg.n3)
-    _, tracks = _retained(cfg, "pricing_futures", [t0_years])
+    _, _, paths = _retained(cfg, "pricing_futures", [t0_years])
     return _stage(
-        "pricing_futures", price_commodity, tracks, carry, cfg.r, t0_years, cfg.dt
+        "pricing_futures", price_commodity, paths[t0_years], carry, cfg.r, t0_years, cfg.dt
     )
 
 
 def price_option_pipeline(cfg: ExperimentConfig, contract: OptionContract) -> float:
     """End-to-end option price from the configured price history."""
-    _, tracks = _retained(cfg, "pricing_options", [contract.t0_years])
+    _, _, paths = _retained(cfg, "pricing_options", [contract.t0_years])
+    tracks = paths[contract.t0_years]
     return _stage("pricing_options", price_option, contract, tracks, cfg.r, cfg.dt).value

@@ -261,6 +261,13 @@ class TestConfigParsing:
         path.write_text("# experiment\n[model]\n\nkind = bs  # closed form\n")
         assert parse_config(path).model == "bs"
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # Notepad saves UTF-8 text with a byte-order mark
+        plain = write_config(tmp_path / "plain.cfg", data__prices="p.csv", model__N2="128")
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_config(bom) == parse_config(plain)
+
 
 class TestRunPipeline:
     def test_bs_rows_match_direct_calls(self, fixture_files, tmp_path):
@@ -797,6 +804,67 @@ class TestPriceCommands:
         rows = out.read_text().strip().split("\n")[1:]
         written = np.array([float(row.split(",")[2]) for row in rows]).reshape(5, 16)
         np.testing.assert_array_equal(written, tracks[-5:])
+
+
+class TestReadingSeam:
+    """`_retained` samples and ranks once per command and hands each pricer
+    the retained paths from day 1 to its own payoff day k."""
+
+    # position of the paths among each pricer's arguments
+    PATHS_ARG = {"price_option": 1, "price_equity_futures": 1, "price_commodity": 0}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The command's calls to `sample`, `rank_and_select` and the pricers,
+        in order; a pricer call is recorded with its paths' column count."""
+        seen = []
+
+        def record(name):
+            original = getattr(evaluation, name)
+
+            def recorded(*args):
+                position = self.PATHS_ARG.get(name)
+                seen.append(name if position is None else (name, args[position].shape[1]))
+                return original(*args)
+
+            monkeypatch.setattr(evaluation, name, recorded)
+
+        for name in ("sample", "rank_and_select", *self.PATHS_ARG):
+            record(name)
+        return seen
+
+    def _config(self, command_files, tmp_path, days=()):
+        """The saved model's config, with a contract fixture maturing on `days`."""
+        _, base, checkpoint = command_files
+        contracts = write_contracts(
+            tmp_path / "contracts.csv",
+            [("call", "european", 100.0, k / 252, 0.2, 3.0) for k in days],
+        )
+        return write_config(tmp_path / "cfg.txt", gan__checkpoint=checkpoint,
+                            contracts__file=contracts, **base)
+
+    @pytest.mark.parametrize(
+        "argv, pricer, k",
+        [(["price-option", "--side", "put", "--strike", "100", "--t0", repr(10 / 252)],
+          "price_option", 10),
+         (["price-equity-futures", "--t0", repr(7 / 252)], "price_equity_futures", 7),
+         (["price-commodity", "--t0", repr(12 / 252)], "price_commodity", 12)],
+        ids=["price_option", "price_equity_futures", "price_commodity"],
+    )
+    def test_price_command_hands_its_pricer_k_columns(self, command_files, tmp_path, calls,
+                                                      argv, pricer, k):
+        cfg_path = self._config(command_files, tmp_path)
+        assert cli_main(["--config", str(cfg_path), *argv]) == 0
+        assert calls == ["sample", "rank_and_select", (pricer, k)]
+
+    def test_evaluate_ranks_once_and_hands_each_contract_its_k_columns(
+        self, command_files, tmp_path, calls
+    ):
+        days = (5, 10, 16, 10)
+        cfg_path = self._config(command_files, tmp_path, days)
+        out = tmp_path / "report.csv"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out), "evaluate"]) == 0
+        assert calls == ["sample", "rank_and_select", *(("price_option", k) for k in days)]
 
 
 class TestFailBeforeTraining:
