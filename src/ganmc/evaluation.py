@@ -66,9 +66,19 @@ class CollapseError(RuntimeError):
     pass
 
 
-def _key(section: str, key: str, default):
-    """A config field, set by `key = value` under `[section]` of a config file."""
-    return field(default=default, metadata={"key": (section, key)})
+# a number's valid range, as its error message reads it -> the range's test
+_RANGES = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "positive": lambda v: v > 0,
+    "in (0,1)": lambda v: 0 < v < 1,
+}
+
+
+def _key(section: str, key: str, default, valid: str | None = None):
+    """A config field, set by `key = value` under `[section]` of a config file;
+    a number's `valid` range is one of `_RANGES`."""
+    return field(default=default, metadata={"key": (section, key), "valid": valid})
 
 
 @dataclass(frozen=True)
@@ -80,9 +90,11 @@ class ExperimentConfig:
     name is handed to the GAN (``gan_config_from``), and all of them but T
     take their default from ``GanConfig``. The GAN's architecture, optimiser
     and collapse thresholds are class constants of ``GanConfig``. Every
-    number is checked here, whatever the command, before any file is read;
-    only lr_train_rows's upper end, which depends on the length of the
-    contract fixture, is left to the lr models.
+    number but r declares its valid range on its field, and all of them are
+    checked here, whatever the command, before any file is read; a config
+    with several bad numbers is rejected for the first in field order. Only
+    lr_train_rows's upper end, which depends on the length of the contract
+    fixture, is left to the lr models.
 
     The stride probe is the first min(probe_epochs, epochs) epochs of the
     full GAN training run (see ``train_gan``), so a probe_epochs above
@@ -94,46 +106,28 @@ class ExperimentConfig:
     dividends_path: str = _key("data", "dividends", "")
     quotes_path: str = _key("data", "quotes", "")
     contracts_path: str = _key("contracts", "file", "")
-    lr_train_rows: int = _key("contracts", "lr_train_rows", 0)
+    lr_train_rows: int = _key("contracts", "lr_train_rows", 0, ">= 0")
     model: str = _key("model", "kind", "gan-mc")
     r: float = _key("model", "r", 0.05)
-    dt: float = _key("model", "dt", DEFAULT_DT)
-    T: int = _key("model", "T", 128)
-    n1: int = _key("model", "N1", 290)
-    n2: int = _key("model", "N2", 5120)
-    n3: int = _key("model", "N3", 50)
-    alpha: float = _key("model", "alpha", 0.8)
-    seed: int = _key("model", "seed", GanConfig.seed)
-    epochs: int = _key("gan", "epochs", GanConfig.epochs)
-    batch_size: int = _key("gan", "batch_size", GanConfig.batch_size)
-    probe_epochs: int = _key("gan", "probe_epochs", 200)
+    dt: float = _key("model", "dt", DEFAULT_DT, "positive")
+    T: int = _key("model", "T", 128, ">= 1")
+    n1: int = _key("model", "N1", 290, ">= 1")
+    n2: int = _key("model", "N2", 5120, ">= 1")
+    n3: int = _key("model", "N3", 50, ">= 0")
+    alpha: float = _key("model", "alpha", 0.8, "in (0,1)")
+    seed: int = _key("model", "seed", GanConfig.seed, ">= 0")
+    epochs: int = _key("gan", "epochs", GanConfig.epochs, "positive")
+    batch_size: int = _key("gan", "batch_size", GanConfig.batch_size, "positive")
+    probe_epochs: int = _key("gan", "probe_epochs", 200, "positive")
     checkpoint_path: str = _key("gan", "checkpoint", "")
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.T < 1:
-            raise ConfigError(f"T must be >= 1, got {self.T}")
-        if self.n1 < 1:
-            raise ConfigError(f"N1 must be >= 1, got {self.n1}")
-        if self.n2 < 1:
-            raise ConfigError(f"N2 must be >= 1, got {self.n2}")
-        if self.n3 < 0:
-            raise ConfigError(f"N3 must be >= 0, got {self.n3}")
-        if not self.dt > 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be positive, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.probe_epochs < 1:
-            raise ConfigError(f"probe_epochs must be positive, got {self.probe_epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.lr_train_rows < 0:
-            raise ConfigError(f"lr_train_rows must be >= 0, got {self.lr_train_rows}")
+        for f in fields(self):
+            valid, value = f.metadata["valid"], getattr(self, f.name)
+            if valid and not _RANGES[valid](value):
+                raise ConfigError(f"{f.metadata['key'][1]} must be {valid}, got {value}")
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
@@ -147,41 +141,45 @@ _SECTIONS = {section for section, _ in _CONFIG_SCHEMA}
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a key=value config file; unknown sections or keys, a key given
-    twice and non-finite floats are errors."""
+    """Parse a key=value config file; text that is not UTF-8, unknown sections
+    or keys, a key given twice and non-finite floats are errors."""
     values: dict[str, object] = {}
     seen: dict[str, int] = {}  # field name -> the line that set it
     section = None
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1].strip()
-                if section not in _SECTIONS:
-                    raise ConfigError(f"{path}:{line_no}: unknown section [{section}]")
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key = value")
-            if section is None:
-                raise ConfigError(f"{path}:{line_no}: key outside any section")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if (section, key) not in _CONFIG_SCHEMA:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r} in [{section}]")
-            name, parser = _CONFIG_SCHEMA[(section, key)]
-            if name in seen:
-                raise ConfigError(f"{path}:{line_no}: key {key!r} in [{section}] "
-                                  f"already given on line {seen[name]}")
-            seen[name] = line_no
-            try:
-                values[name] = parser(value)
-                if parser is float and not math.isfinite(values[name]):
-                    raise ValueError
-            except ValueError:
-                raise ConfigError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in _SECTIONS:
+                raise ConfigError(f"{path}:{line_no}: unknown section [{section}]")
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key = value")
+        if section is None:
+            raise ConfigError(f"{path}:{line_no}: key outside any section")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if (section, key) not in _CONFIG_SCHEMA:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r} in [{section}]")
+        name, parser = _CONFIG_SCHEMA[(section, key)]
+        if name in seen:
+            raise ConfigError(f"{path}:{line_no}: key {key!r} in [{section}] "
+                              f"already given on line {seen[name]}")
+        seen[name] = line_no
+        try:
+            values[name] = parser(value)
+            if parser is float and not math.isfinite(values[name]):
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
     return ExperimentConfig(**values)
 
 

@@ -11,17 +11,19 @@ Every value is checked here, where it enters: each number must be finite
 and meet its column's sign rule, and dates must be unique. A file is read
 and checked a whole column at a time, and the first fault in file order is
 named: within one row the date comes first, then its uniqueness, then the
-columns left to right. The records built from a file rely on those checks
-and do not repeat them.
+columns left to right. A price file needs at least 2 rows, and no two
+dividend dates may fall on one business day. Every error names the file.
+The records built from a file hold no checks.
 
-A file may start with a UTF-8 byte-order mark, as spreadsheet programs
-write it.
+A file must be UTF-8 text, and may start with a UTF-8 byte-order mark, as
+spreadsheet programs write it.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +45,6 @@ class PriceSeries:
     dates: tuple[_dt.date, ...]
     prices: tuple[float, ...]
 
-    def __post_init__(self):
-        if len(self.prices) < 2:
-            raise MarketDataError(f"{self.symbol}: need at least 2 observations")
-
     def __len__(self) -> int:
         return len(self.prices)
 
@@ -59,10 +57,6 @@ class DividendSeries:
     origin: _dt.date
     indices: tuple[int, ...]
     dps: tuple[float, ...]
-
-    def __post_init__(self):
-        if np.any(np.diff(self.indices) <= 0):
-            raise MarketDataError(f"{self.symbol}: indices not strictly increasing")
 
     def __len__(self) -> int:
         return len(self.dps)
@@ -88,22 +82,26 @@ def read_rows(path, header: list[str]) -> list[tuple[int, list[str]]]:
     Every row must have one cell per header column. A UTF-8 byte-order mark
     before the header is skipped.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise MarketDataError(f"{path}: empty file") from None
-        if [h.strip() for h in first] != header:
-            raise MarketDataError(
-                f"{path}: expected header {','.join(header)}, got {','.join(first)}"
-            )
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if "".join(row).strip():
-                if len(row) != len(header):
-                    raise MarketDataError(f"{path}: expected {len(header)} columns at row {i}")
-                rows.append((i, row))
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise MarketDataError(f"{path}: not UTF-8 text ({e.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise MarketDataError(f"{path}: empty file") from None
+    if [h.strip() for h in first] != header:
+        raise MarketDataError(
+            f"{path}: expected header {','.join(header)}, got {','.join(first)}"
+        )
+    rows = []
+    for i, row in enumerate(reader, start=2):
+        if "".join(row).strip():
+            if len(row) != len(header):
+                raise MarketDataError(f"{path}: expected {len(header)} columns at row {i}")
+            rows.append((i, row))
     if not rows:
         raise MarketDataError(f"{path}: no observations")
     return rows
@@ -181,8 +179,10 @@ def _read_dated(path, columns: tuple[str, ...]) -> tuple[tuple, ...]:
 
 
 def load_price_series(path, symbol: str) -> PriceSeries:
-    """Load a `date,price` CSV; rows may appear in any order."""
+    """Load a `date,price` CSV of at least 2 rows, which may appear in any order."""
     dates, prices = _read_dated(path, ("price",))
+    if len(prices) < 2:
+        raise MarketDataError(f"{path}: need at least 2 observations")
     return PriceSeries(symbol=symbol, dates=dates, prices=prices)
 
 
@@ -194,8 +194,12 @@ def load_dividends(path, symbol: str) -> DividendSeries:
     """
     dates, dps = _read_dated(path, ("dps",))
     days = (_day_numbers(dates) - _UNIX_EPOCH_DAY).astype("datetime64[D]")
-    indices = tuple(np.busday_count(days[0], days).tolist())
-    return DividendSeries(symbol=symbol, origin=dates[0], indices=indices, dps=dps)
+    indices = np.busday_count(days[0], days)
+    same = np.flatnonzero(np.diff(indices) == 0)
+    if same.size:
+        k = int(same[0])
+        raise MarketDataError(f"{path}: {dates[k]} and {dates[k + 1]} fall on one business day")
+    return DividendSeries(symbol=symbol, origin=dates[0], indices=tuple(indices.tolist()), dps=dps)
 
 
 def load_quotes(path, contract_id: str) -> QuoteSeries:

@@ -1,6 +1,8 @@
+import math
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -142,6 +144,26 @@ NON_DEFAULT = {
     "epochs": 77, "batch_size": 16, "probe_epochs": 13, "checkpoint_path": "m.gmc",
 }
 
+# each number's valid range as its message reads it, then (boundary value,
+# the value just outside) pairs; r declares none, since a negative rate is valid
+RANGES = {
+    "lr_train_rows": (">= 0", [(0, -1)]),
+    "dt": ("positive", [(5e-324, 0.0)]),
+    "T": (">= 1", [(1, 0)]),
+    "n1": (">= 1", [(1, 0)]),
+    "n2": (">= 1", [(1, 0)]),
+    "n3": (">= 0", [(0, -1)]),
+    "alpha": ("in (0,1)", [(5e-324, 0.0), (math.nextafter(1.0, 0.0), 1.0)]),
+    "seed": (">= 0", [(0, -1)]),
+    "epochs": ("positive", [(1, 0)]),
+    "batch_size": ("positive", [(1, 0)]),
+    "probe_epochs": ("positive", [(1, 0)]),
+}
+
+# every int or float field of the experiment config
+NUMBERS = [f.name for f in fields(ExperimentConfig)
+           if get_type_hints(ExperimentConfig)[f.name] in (int, float)]
+
 # the hyperparameters the GAN takes from the experiment config
 GAN_SHARED = ["T", "epochs", "batch_size", "seed"]
 
@@ -250,6 +272,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
             replace(ExperimentConfig(), seed=-1)
 
+    @pytest.mark.parametrize("name", NUMBERS)
+    def test_number_declares_its_range(self, name):
+        declared = {f.name: f.metadata.get("valid") for f in fields(ExperimentConfig)}[name]
+        if name == "r":
+            assert declared is None
+            assert ExperimentConfig(r=-0.5).r == -0.5
+            return
+        phrase, boundaries = RANGES[name]
+        assert declared == phrase
+        key = next(k for _, k, n in CONFIG_KEYS if n == name)
+        for inside, outside in boundaries:
+            assert getattr(ExperimentConfig(**{name: inside}), name) == inside
+            with pytest.raises(ConfigError) as exc:
+                ExperimentConfig(**{name: outside})
+            assert str(exc.value) == f"{key} must be {phrase}, got {outside}"
+
     def test_unknown_model_kind(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("[model]\nkind = perceptron\n")
@@ -267,6 +305,15 @@ class TestConfigParsing:
         bom = tmp_path / "bom.cfg"
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert parse_config(bom) == parse_config(plain)
+
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        # a Latin-1 byte (0xe9) where UTF-8 expects a continuation byte
+        path = tmp_path / "cfg.txt"
+        path.write_bytes("[data]\nsymbol = Soci\u00e9t\u00e9\n".encode("latin-1"))
+        assert cli_main(["--config", str(path), "price-option", "--side", "call",
+                         "--strike", "100", "--t0", "0.1"]) == 1
+        message = f"{path}: not UTF-8 text (invalid continuation byte)"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestRunPipeline:
@@ -950,9 +997,14 @@ class TestFailBeforeTraining:
          ("model__N3", "-1", "N3 must be >= 0, got -1"),
          ("gan__epochs", "0", "epochs must be positive, got 0"),
          ("gan__batch_size", "0", "batch_size must be positive, got 0"),
-         ("contracts__lr_train_rows", "-3", "lr_train_rows must be >= 0, got -3")],
+         ("contracts__lr_train_rows", "-3", "lr_train_rows must be >= 0, got -3"),
+         ("model__T", "0", "T must be >= 1, got 0"),
+         ("model__N2", "0", "N2 must be >= 1, got 0"),
+         ("model__alpha", "0", "alpha must be in (0,1), got 0.0"),
+         ("model__alpha", "1", "alpha must be in (0,1), got 1.0"),
+         ("model__dt", "0", "dt must be positive, got 0.0")],
         ids=["N1_zero", "N3_negative", "epochs_zero", "batch_size_zero",
-             "lr_train_rows_negative"],
+             "lr_train_rows_negative", "T_zero", "N2_zero", "alpha_zero", "alpha_one", "dt_zero"],
     )
     def test_config_number_unused_by_the_command(self, command_files, tmp_path, capsys, key,
                                                  value, message):

@@ -72,6 +72,12 @@ class TestLoadPriceSeries:
         with pytest.raises(MarketDataError, match="at least 2"):
             load_price_series(path, "SYM")
 
+    def test_single_row_names_its_file(self, tmp_path):
+        path = write_price_csv(tmp_path / "p.csv", [100.0])
+        with pytest.raises(MarketDataError) as exc:
+            load_price_series(path, "")
+        assert str(exc.value) == f"{path}: need at least 2 observations"
+
     def test_shuffled_history_with_blank_lines_equals_sorted_reference(self, tmp_path):
         dates = iso_dates(700)
         rows = [(d.isoformat(), repr(100.0 + 0.37 * i + (i % 7) / 3)) for i, d in enumerate(dates)]
@@ -140,7 +146,8 @@ class TestLoadDividends:
     def test_saturday_and_following_monday_rejected(self, tmp_path):
         dates = [dt.date(2021, 1, 4), dt.date(2021, 1, 9), dt.date(2021, 1, 11)]
         path = write_dividend_csv(tmp_path / "d.csv", [1.0] * 3, dates)
-        with pytest.raises(MarketDataError, match="indices not strictly increasing"):
+        with pytest.raises(MarketDataError,
+                           match=r"d\.csv: 2021-01-09 and 2021-01-11 fall on one business day$"):
             load_dividends(path, "SYM")
 
     def test_negative_dps_rejected(self, tmp_path):
@@ -236,6 +243,16 @@ def test_byte_order_mark_accepted(tmp_path, kind):
     path = tmp_path / f"{kind}.csv"
     path.write_text(f"\ufeff{header}\n{first}\n{second}\n", encoding="utf-8")
     assert len(load(path)) == 2
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_text_that_is_not_utf8_names_the_file(tmp_path, kind):
+    load, header, (first, second) = LOADERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(f"{header}\n{first}\n{second}\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(MarketDataError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: not UTF-8 text (invalid continuation byte)"
 
 
 # loader, file body, the fault named: the first in file order, and within one
