@@ -304,7 +304,7 @@ def obtain_model(cfg: ExperimentConfig, prices: np.ndarray) -> GanModel:
         return train_gan(cfg, prices).model
     model = load_checkpoint(cfg.checkpoint_path)
     if model.T != cfg.T:
-        raise ConfigError(f"checkpoint window length {model.T} != configured T={cfg.T}")
+        raise ConfigError(f"{cfg.checkpoint_path}: window length {model.T} != configured T={cfg.T}")
     return model
 
 
@@ -409,11 +409,10 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
 
     if not rows:
         raise StageError("eval", PricingError("no contracts to evaluate"))
-    score = _stage("eval", mape, [r[1] for r in rows], [r[2] for r in rows])
     return EvalReport(
         model=cfg.model,
         rows=rows,
-        mape_percent=score,
+        mape_percent=100.0 * float(np.mean([r[3] for r in rows])),
         runtime_seconds=time.monotonic() - started,
         config_text=config_echo(cfg),
     )

@@ -29,6 +29,10 @@ mean[T], std[T], level_knots[K] and normal_knots[K] (nothing when K=0:
 no transform); and a trailing u32 CRC32 of all preceding bytes.
 Activation tags: 0 relu, 1 sigmoid, 2 tanh, 3 identity. The stored
 discriminator consumes standardised log coordinates, not prices.
+Every fault ``load_checkpoint`` finds in a file is a ``CheckpointError``
+that names the file; besides the layout it checks that every f64 is
+finite, the scale and each transform std positive, the level and normal
+knots strictly increasing, and the discriminator's input dimension equal to T.
 """
 
 from __future__ import annotations
@@ -655,38 +659,34 @@ def save_checkpoint(model: GanModel, path) -> None:
 
 
 class _Reader:
+    """Reads a checkpoint body with the struct formats the writer packs."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
     def take(self, count: int) -> bytes:
+        # bytes before formats: a crafted rows * cols near 2**64 is truncated, not a struct.error
         if self.pos + count > len(self.data):
             raise CheckpointError("truncated checkpoint")
         chunk = self.data[self.pos : self.pos + count]
         self.pos += count
         return chunk
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def f64_array(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(8 * count), dtype="<f8").astype(float)
 
 
 def _unpack_net(reader: _Reader) -> MlpParams:
-    layer_count = reader.u32()
+    (layer_count,) = reader.unpack("<I")
     if layer_count == 0:
         raise CheckpointError("network has no layers")
     weights, biases, activations = [], [], []
     for _ in range(layer_count):
-        rows, cols = reader.u32(), reader.u32()
-        tag = reader.u8()
+        rows, cols, tag = reader.unpack("<IIB")
         if tag not in _TAG_TO_ACT:
             raise CheckpointError(f"unknown activation tag {tag}")
         weights.append(reader.f64_array(rows * cols).reshape(rows, cols))
@@ -695,28 +695,51 @@ def _unpack_net(reader: _Reader) -> MlpParams:
     return MlpParams(weights=weights, biases=biases, activations=activations)
 
 
+def _check_values(
+    gen: MlpParams, disc: MlpParams, scale: float, transform: WindowTransform | None
+) -> None:
+    values = {"generator": gen.params, "discriminator": disc.params, "scale": scale}
+    if transform is not None:
+        values.update((f.name, getattr(transform, f.name)) for f in fields(transform))
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise CheckpointError(f"{name} holds a non-finite value")
+    if scale <= 0.0:
+        raise CheckpointError(f"scale {scale} is not positive")
+    if transform is not None:
+        if not (transform.std > 0.0).all():
+            raise CheckpointError("transform std is not positive")
+        for name in ("level_knots", "normal_knots"):
+            if not (np.diff(values[name]) > 0.0).all():
+                raise CheckpointError(f"{name} do not strictly increase")
+
+
 def load_checkpoint(path) -> GanModel:
+    """Read a checkpoint; every fault in the file is a CheckpointError naming the path."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    body, (crc,) = data[:-4], struct.unpack("<I", data[-4:])
-    if zlib.crc32(body) != crc:
-        raise CheckpointError(f"{path}: checksum failure")
-    reader = _Reader(body)
-    reader.take(4)  # magic
-    version = reader.u32()
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {version} unsupported (expected {CHECKPOINT_VERSION})"
-        )
-    gen = _unpack_net(reader)
-    disc = _unpack_net(reader)
-    scale = reader.f64()
-    T, knots = gen.layer_dims[-1], reader.u32()
-    transform = None
-    if knots:  # mean[T], std[T], level_knots[K], normal_knots[K]
-        transform = WindowTransform(*(reader.f64_array(n) for n in (T, T, knots, knots)))
-    if reader.pos != len(body):
-        raise CheckpointError(f"{path}: trailing bytes in checkpoint")
-    return GanModel(generator=gen, discriminator=disc, scale=scale, transform=transform)
+    try:
+        if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError("not a checkpoint (bad magic)")
+        body, (crc,) = data[:-4], struct.unpack("<I", data[-4:])
+        if zlib.crc32(body) != crc:
+            raise CheckpointError("checksum failure")
+        reader = _Reader(body)
+        _, version = reader.unpack("<4sI")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"format version {version} unsupported (expected {CHECKPOINT_VERSION})"
+            )
+        gen, disc = _unpack_net(reader), _unpack_net(reader)
+        T, transform = gen.layer_dims[-1], None
+        if disc.layer_dims[0] != T:
+            raise CheckpointError(f"discriminator input dim {disc.layer_dims[0]} != T={T}")
+        scale, knots = reader.unpack("<dI")
+        if knots:  # mean[T], std[T], level_knots[K], normal_knots[K]
+            transform = WindowTransform(*(reader.f64_array(n) for n in (T, T, knots, knots)))
+        if reader.pos != len(body):
+            raise CheckpointError("trailing bytes in checkpoint")
+        _check_values(gen, disc, scale, transform)
+        return GanModel(generator=gen, discriminator=disc, scale=scale, transform=transform)
+    except (CheckpointError, GanError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc

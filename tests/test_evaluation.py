@@ -852,6 +852,14 @@ class TestPriceCommands:
         written = np.array([float(row.split(",")[2]) for row in rows]).reshape(5, 16)
         np.testing.assert_array_equal(written, tracks[-5:])
 
+    def test_window_length_mismatch_names_the_checkpoint(self, command_files, tmp_path, capsys):
+        _, base, checkpoint = command_files
+        cfg_path = write_config(tmp_path / "cfg.txt", gan__checkpoint=checkpoint,
+                                **{**base, "model__T": "32"})
+        code = cli_main(["--config", str(cfg_path), "price-commodity", "--t0", repr(self.T0)])
+        assert code == 1
+        assert f"{checkpoint}: window length 16 != configured T=32" in capsys.readouterr().err
+
 
 class TestReadingSeam:
     """`_retained` samples and ranks once per command and hands each pricer

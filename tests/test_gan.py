@@ -490,11 +490,111 @@ class TestWindowTransform:
         np.testing.assert_array_equal(buf, transform.inverse(coords))
 
 
+def _seal(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _first_param(net: MlpParams, value: float) -> MlpParams:
+    net = net.copy()
+    net.params[0] = value
+    return net
+
+
+def _model_with(model: GanModel, **changes) -> GanModel:
+    """The model with changed fields; a window transform field goes to its transform."""
+    names = [f.name for f in dataclasses.fields(WindowTransform)]
+    tf = {name: changes.pop(name) for name in names if name in changes}
+    transform = dataclasses.replace(model.transform, **tf)
+    return dataclasses.replace(model, transform=transform, **changes)
+
+
+def _resaved(**changes):
+    """A case whose file the writer packs from the model with changed fields."""
+    return lambda model, saved: saved(_model_with(model, **changes))
+
+
+# generator layers 4 -> 8 -> 6 whose second layer reads 7 inputs
+_CHAIN_BREAK = (struct.pack("<IIIB", 2, 8, 4, 0) + bytes(8 * (32 + 8))
+                + struct.pack("<IIB", 6, 7, 1) + bytes(8 * (42 + 6)))
+
+# case id -> (file bytes from the model and the writer, reason after "<path>: ")
+CHECKPOINT_FAULTS = {
+    "bad_magic": (lambda m, saved: b"NOPE" + saved(m)[4:], "not a checkpoint (bad magic)"),
+    "checksum": (lambda m, saved: saved(m)[:20] + b"\xff" + saved(m)[21:], "checksum failure"),
+    "version_99": (
+        lambda m, saved: _seal(saved(m)[:4] + struct.pack("<I", 99) + saved(m)[8:-4]),
+        "format version 99 unsupported (expected 2)",
+    ),
+    "truncated_transform": (lambda m, saved: _seal(saved(m)[:-12]), "truncated checkpoint"),
+    "huge_layer": (  # (2**32 - 1)**2 weights: a byte count, not a struct format
+        lambda m, saved: _seal(saved(m)[:12] + struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 0)),
+        "truncated checkpoint",
+    ),
+    "no_layers": (lambda m, saved: _seal(saved(m)[:8] + bytes(4)), "network has no layers"),
+    "unknown_tag": (
+        lambda m, saved: _seal(saved(m)[:20] + b"\x09" + saved(m)[21:-4]),
+        "unknown activation tag 9",
+    ),
+    "trailing_bytes": (
+        lambda m, saved: _seal(saved(m)[:-4] + b"\x00"), "trailing bytes in checkpoint"
+    ),
+    "chain_break": (
+        lambda m, saved: _seal(saved(m)[:8] + _CHAIN_BREAK), "layer 1: input dim 7 breaks the chain"
+    ),
+    "discriminator_input": (
+        _resaved(discriminator=init_mlp([5, 1], ["sigmoid"], np.random.default_rng(0))),
+        "discriminator input dim 5 != T=6",
+    ),
+    "nan_weight": (
+        lambda m, saved: saved(_model_with(m, generator=_first_param(m.generator, np.nan))),
+        "generator holds a non-finite value",
+    ),
+    "inf_weight": (
+        lambda m, saved: saved(_model_with(m, discriminator=_first_param(m.discriminator, np.inf))),
+        "discriminator holds a non-finite value",
+    ),
+    "scale_nan": (_resaved(scale=np.nan), "scale holds a non-finite value"),
+    "scale_negative": (_resaved(scale=-1.0), "scale -1.0 is not positive"),
+    "scale_zero": (_resaved(scale=0.0), "scale 0.0 is not positive"),
+    "mean_nan": (_resaved(mean=np.full(6, np.nan)), "mean holds a non-finite value"),
+    "std_negative": (
+        _resaved(std=np.array([1.0, 1.0, -0.5, 1.0, 1.0, 1.0])), "transform std is not positive"
+    ),
+    "level_knots_decrease": (
+        _resaved(level_knots=np.array([5.0, 4.5, 4.0])), "level_knots do not strictly increase"
+    ),
+    "normal_knots_repeat": (
+        _resaved(normal_knots=np.array([-1.0, 0.0, 0.0])), "normal_knots do not strictly increase"
+    ),
+}
+
+
 class TestCheckpoint:
     def _model(self, rng):
         gen = init_mlp([4, 8, 6], ["relu", "sigmoid"], rng)
         disc = init_mlp([6, 8, 1], ["tanh", "sigmoid"], rng)
         return GanModel(generator=gen, discriminator=disc, scale=123.5)
+
+    @pytest.mark.parametrize("edit, reason", CHECKPOINT_FAULTS.values(),
+                             ids=CHECKPOINT_FAULTS.keys())
+    def test_every_fault_names_the_file(self, edit, reason, rng, tmp_path):
+        def saved(model):
+            save_checkpoint(model, tmp_path / "saved.gmc")
+            return (tmp_path / "saved.gmc").read_bytes()
+
+        transform = WindowTransform(np.zeros(6), np.ones(6), np.array([4.0, 4.5, 5.0]),
+                                    np.array([-1.0, 0.0, 1.0]))
+        model = dataclasses.replace(self._model(rng), transform=transform)
+        path = tmp_path / "fault.gmc"
+        path.write_bytes(edit(model, saved))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: {reason}"
+
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        # outside the file's faults: the CLI maps it to exit 2
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(tmp_path / "absent.gmc")
 
     def test_round_trip_identical_samples(self, rng, tmp_path):
         model = self._model(rng)
@@ -557,20 +657,6 @@ class TestCheckpoint:
         path = tmp_path / "bad.gmc"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(CheckpointError, match="not a checkpoint"):
-            load_checkpoint(path)
-
-    def test_version_mismatch_names_both(self, rng, tmp_path):
-        import struct
-        import zlib
-
-        model = self._model(rng)
-        path = tmp_path / "model.gmc"
-        save_checkpoint(model, path)
-        data = bytearray(path.read_bytes())
-        body = bytearray(data[:-4])
-        body[4:8] = struct.pack("<I", 99)
-        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
-        with pytest.raises(CheckpointError, match="99.*expected 2"):
             load_checkpoint(path)
 
     def test_corrupted_body_fails_checksum(self, rng, tmp_path):
