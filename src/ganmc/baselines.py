@@ -5,31 +5,21 @@ over the whole horizon tau, so it is positive and has GBM's law at tau
 for any tau. The Monte Carlo option baseline anchors the drift to the
 strike (log(X/s)/tau) by default; `risk_neutral=True` switches to the
 risk-neutral drift r. dt only sets the discrete discount.
+
+The linear baseline is a fit plus one regime predicate: `in_regime` says
+whether an option lies in the `all`, `itm` or `otm` regime,
+`fit_linear_pricer` returns the OLS coefficients over the rows in one
+regime, and `lr_price` is the affine price of those coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .market_data import DEFAULT_DT
 from .options import PricingError, price_terminals
-
-
-@dataclass(frozen=True)
-class LinearPricer:
-    """Affine option pricer over (s/X, tau)."""
-
-    coefficients: np.ndarray  # (intercept, s/X, tau)
-    regime: str  # "all" | "itm" | "otm"
-
-    def __post_init__(self):
-        if self.regime not in ("all", "itm", "otm"):
-            raise PricingError(f"unknown regime {self.regime!r}")
-        if not np.all(np.isfinite(self.coefficients)):
-            raise PricingError("non-finite regression coefficients")
 
 
 def norm_cdf(x: float) -> float:
@@ -89,22 +79,24 @@ def gbm_mc_option(
     return price_terminals(side, style, terminal, strike, r, tau, dt).value
 
 
-def _option_in_regime(moneyness: float, side: str, regime: str) -> bool:
-    if regime == "all":
-        return True
+def in_regime(moneyness: float, side: str, regime: str) -> bool:
+    """Whether an option of moneyness s/X lies in the regime: `all`, `itm`
+    (a call above s/X = 1, a put below it) or `otm` (every other option)."""
+    if regime not in ("all", "itm", "otm"):
+        raise PricingError(f"unknown regime {regime!r}")
     itm = moneyness > 1.0 if side == "call" else moneyness < 1.0
-    return itm if regime == "itm" else not itm
+    return regime == "all" or itm == (regime == "itm")
 
 
-def fit_linear_pricer(rows, regime: str = "all") -> LinearPricer:
-    """OLS fit of observed option prices on (1, s/X, tau).
+def fit_linear_pricer(rows, regime: str) -> np.ndarray:
+    """OLS coefficients (intercept, s/X, tau) of observed option prices.
 
-    Rows are (spot, strike, tau, side, price); the regime filter keeps
-    the ITM or OTM rows by moneyness and side.
+    Rows are (spot, strike, tau, side, price); the fit keeps the rows
+    `in_regime`.
     """
     features, targets = [], []
     for spot, strike, tau, side, price in rows:
-        if _option_in_regime(spot / strike, side, regime):
+        if in_regime(spot / strike, side, regime):
             features.append([1.0, spot / strike, tau])
             targets.append(price)
     if not features:
@@ -118,14 +110,11 @@ def fit_linear_pricer(rows, regime: str = "all") -> LinearPricer:
     if np.linalg.matrix_rank(design) < design.shape[1]:
         raise PricingError("rank-deficient design matrix")
     coefficients, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return LinearPricer(coefficients=coefficients, regime=regime)
+    if not np.all(np.isfinite(coefficients)):
+        raise PricingError("non-finite regression coefficients")
+    return coefficients
 
 
-def lr_price(pricer: LinearPricer, row) -> float:
-    """Predict one contract's price; the row must match the fitted regime."""
-    spot, strike, tau, side = row
-    if not _option_in_regime(spot / strike, side, pricer.regime):
-        raise PricingError(
-            f"contract with moneyness {spot / strike:.4f} is outside regime {pricer.regime!r}"
-        )
-    return float(np.array([1.0, spot / strike, tau]) @ pricer.coefficients)
+def lr_price(coefficients: np.ndarray, spot: float, strike: float, tau: float) -> float:
+    """The affine price of fitted coefficients at (s/X, tau)."""
+    return float(np.array([1.0, spot / strike, tau]) @ coefficients)

@@ -24,7 +24,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .baselines import bs_price, fit_linear_pricer, gbm_mc_option, lr_price
+from .baselines import bs_price, fit_linear_pricer, gbm_mc_option, in_regime, lr_price
 from .futures import (
     estimate_carry,
     fit_dividends,
@@ -198,8 +198,8 @@ class ContractRow:
 def load_contracts(path) -> list[ContractRow]:
     """Load an option-contract fixture CSV: side,style,strike,t0_years,sigma,actual.
 
-    Every number must be finite, and every actual price nonzero: it divides
-    the row's percentage error.
+    Every number must be finite, every sigma positive, and every actual
+    price nonzero: it divides the row's percentage error.
     """
     header = ["side", "style", "strike", "t0_years", "sigma", "actual"]
     contracts = []
@@ -213,6 +213,8 @@ def load_contracts(path) -> list[ContractRow]:
             raise MarketDataError(f"{path}: {exc} at row {i}") from None
         except ValueError:
             raise MarketDataError(f"{path}: bad numeric value at row {i}") from None
+        if sigma <= 0.0:
+            raise MarketDataError(f"{path}: non-positive sigma {sigma} at row {i}")
         if actual == 0.0:
             raise MarketDataError(f"{path}: actual value is zero at row {i}")
         contracts.append(ContractRow(contract, sigma, actual))
@@ -378,12 +380,12 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
                 "baselines",
                 ConfigError(f"lr_train_rows={split} must split {len(contracts)} contracts"),
             )
-        regime = {"lr": "all", "lr-itm": "itm", "lr-otm": "otm"}[cfg.model]
+        regime = cfg.model.partition("-")[2] or "all"  # lr-itm fits regime itm
         train_rows = [
             (spot, row.contract.strike, row.contract.t0_years, row.contract.side, row.actual)
             for row in contracts[:split]
         ]
-        pricer = _stage("baselines", fit_linear_pricer, train_rows, regime)
+        coefficients = _stage("baselines", fit_linear_pricer, train_rows, regime)
 
     rows: list[tuple[str, float, float, float]] = []
     # ids are fixture row positions, so an lr report names the rows it tested
@@ -398,12 +400,10 @@ def run_pipeline(cfg: ExperimentConfig) -> EvalReport:
             predicted = _stage(
                 "pricing_options", price_option, c, paths[c.t0_years], cfg.r, cfg.dt
             ).value
+        elif in_regime(spot / c.strike, c.side, regime):
+            predicted = lr_price(coefficients, spot, c.strike, c.t0_years)
         else:
-            moneyness_row = (spot, c.strike, c.t0_years, c.side)
-            try:
-                predicted = lr_price(pricer, moneyness_row)
-            except PricingError:
-                continue  # outside the fitted regime
+            continue  # outside the fitted regime
         ape = abs(predicted - row.actual) / abs(row.actual)
         rows.append((contract_id, float(predicted), row.actual, float(ape)))
 

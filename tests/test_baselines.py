@@ -10,6 +10,7 @@ from ganmc.baselines import (
     bs_price,
     fit_linear_pricer,
     gbm_mc_option,
+    in_regime,
     lr_price,
     norm_cdf,
     simulate_gbm_terminals,
@@ -124,9 +125,9 @@ class TestLinearPricer:
             spot, strike, tau = rng.uniform(80, 120), rng.uniform(80, 120), rng.uniform(0.1, 1.0)
             price = 2.0 + 3.0 * spot / strike - 1.5 * tau
             rows.append((spot, strike, tau, "call", price))
-        pricer = fit_linear_pricer(rows, "all")
-        np.testing.assert_allclose(pricer.coefficients, [2.0, 3.0, -1.5], rtol=1e-8)
-        predicted = lr_price(pricer, (100.0, 90.0, 0.5, "call"))
+        coefficients = fit_linear_pricer(rows, "all")
+        np.testing.assert_allclose(coefficients, [2.0, 3.0, -1.5], rtol=1e-8)
+        predicted = lr_price(coefficients, 100.0, 90.0, 0.5)
         assert predicted == pytest.approx(2.0 + 3.0 * 100 / 90 - 1.5 * 0.5, rel=1e-8)
 
     def test_itm_filter_matches_brute_force(self, rng):
@@ -135,24 +136,42 @@ class TestLinearPricer:
             for _ in range(50)
         ]
         expected = [r for r in rows if r[0] / r[1] > 1.0]
-        pricer = fit_linear_pricer(rows, "itm")
+        coefficients = fit_linear_pricer(rows, "itm")
         design = np.array([[1.0, r[0] / r[1], r[2]] for r in expected])
         y = np.array([r[4] for r in expected])
         beta = np.linalg.solve(design.T @ design, design.T @ y)
-        np.testing.assert_allclose(pricer.coefficients, beta, rtol=1e-8)
+        np.testing.assert_allclose(coefficients, beta, rtol=1e-8)
 
     def test_underdetermined_rejected(self):
         rows = [(100.0, 90.0, 0.5, "call", 12.0), (110.0, 90.0, 0.5, "call", 21.0)]
         with pytest.raises(PricingError, match="underdetermined"):
             fit_linear_pricer(rows, "all")
 
-    def test_regime_mismatch_on_predict(self):
-        rows = [
-            (110.0 + i * i, 100.0, 0.5 + 0.1 * i, "call", 10.0 + i) for i in range(5)
-        ]
-        pricer = fit_linear_pricer(rows, "itm")
-        with pytest.raises(PricingError, match="outside regime"):
-            lr_price(pricer, (90.0, 100.0, 0.5, "call"))
+    @pytest.mark.parametrize(
+        "moneyness, side, regimes",
+        [
+            (1.1, "call", {"all", "itm"}),
+            (0.9, "call", {"all", "otm"}),
+            (1.0, "call", {"all", "otm"}),
+            (1.1, "put", {"all", "otm"}),
+            (0.9, "put", {"all", "itm"}),
+            (1.0, "put", {"all", "otm"}),
+        ],
+    )
+    def test_regime_predicate_table(self, moneyness, side, regimes):
+        for regime in ("all", "itm", "otm"):
+            assert in_regime(moneyness, side, regime) == (regime in regimes)
+
+    def test_unknown_regime_raises_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted an unknown regime")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_fit)
+        rows = [(110.0 + i * i, 100.0, 0.5 + 0.1 * i, "call", 10.0 + i) for i in range(5)]
+        with pytest.raises(PricingError, match="^unknown regime 'atm'$"):
+            in_regime(1.0, "call", "atm")
+        with pytest.raises(PricingError, match="^unknown regime 'atm'$"):
+            fit_linear_pricer(rows, "atm")
 
     def test_fit_matches_normal_equations_oracle(self, rng):
         rows = [
@@ -160,11 +179,11 @@ class TestLinearPricer:
              rng.uniform(0.5, 30.0))
             for _ in range(1000)
         ]
-        pricer = fit_linear_pricer(rows, "all")
+        coefficients = fit_linear_pricer(rows, "all")
         design = np.array([[1.0, r[0] / r[1], r[2]] for r in rows])
         y = np.array([r[4] for r in rows])
         beta = np.linalg.solve(design.T @ design, design.T @ y)
-        np.testing.assert_allclose(pricer.coefficients, beta, rtol=1e-7)
+        np.testing.assert_allclose(coefficients, beta, rtol=1e-7)
 
 
 def daily_step_terminals(spot, mu, sigma, tau, n_paths, seed, dt=DT):

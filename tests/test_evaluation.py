@@ -370,6 +370,45 @@ class TestRunPipeline:
         assert [row[0] for row in report.rows] == [str(i) for i in range(15, 20)]
         assert report.mape_percent < 0.1  # affine data is recovered
 
+    @pytest.mark.parametrize("regime", ["itm", "otm"])
+    def test_lr_regime_reports_its_test_rows_at_the_fitted_price(self, tmp_path, regime):
+        # each regime's prices follow their own affine law in (1, s/X, tau), so a
+        # fit on the other regime's rows, or on both, misprices the test rows
+        prices = gbm_prices(300, seed=4)
+        prices_path = write_price_csv(tmp_path / "prices.csv", prices.tolist())
+        spot = prices[-1]
+        laws = {"itm": (1.0, 4.0, 2.0), "otm": (0.5, -0.3, 1.0)}
+
+        def regime_of(side, strike):  # at the money is out of the money
+            itm = strike < spot if side == "call" else strike > spot
+            return "itm" if itm else "otm"
+
+        def law(side, strike, tau):
+            a, b, c = laws[regime_of(side, strike)]
+            return a + b * spot / strike + c * tau
+
+        train = [("call", 0.8, 21), ("call", 0.9, 42), ("put", 1.1, 63), ("put", 1.25, 21),
+                 ("call", 0.85, 63), ("call", 1.1, 21), ("call", 1.2, 42), ("put", 0.9, 63),
+                 ("put", 0.8, 21), ("call", 1.15, 63), ("put", 0.95, 42)]
+        test = [("call", 0.95, 42), ("call", 1.05, 42), ("put", 1.05, 21), ("put", 0.92, 63),
+                ("call", 1.0, 21), ("put", 1.0, 42)]
+        rows = []
+        for side, k, days in train + test:
+            strike, tau = k * spot, days / 252
+            rows.append((side, "european", strike, tau, 0.2, law(side, strike, tau)))
+        contracts_path = write_contracts(tmp_path / "contracts.csv", rows)
+        cfg_path = write_config(
+            tmp_path / "cfg.txt", data__prices=prices_path, contracts__file=contracts_path,
+            model__kind=f"lr-{regime}", contracts__lr_train_rows=str(len(train)),
+        )
+        report = run_pipeline(parse_config(cfg_path))
+        expected = [i for i, (side, _, strike, *_) in enumerate(rows)
+                    if i >= len(train) and regime_of(side, strike) == regime]
+        assert [row[0] for row in report.rows] == [str(i) for i in expected]
+        assert len(expected) == {"itm": 2, "otm": 4}[regime]
+        for _, predicted, actual, _ in report.rows:  # actual: the regime's law at the row
+            assert predicted == pytest.approx(actual, rel=1e-9, abs=1e-12)
+
     @pytest.mark.parametrize(
         "kind, split, message, cause",
         [("lr", "0", "[baselines] lr_train_rows=0 must split 8 contracts", ConfigError),
@@ -563,8 +602,10 @@ class TestContractsLoader:
             ("cal", "european", 100.0, 0.25, 0.2, 5.0),
             ("call", "europe", 100.0, 0.25, 0.2, 5.0),
             ("call", "european", 100.0, -0.25, 0.2, 5.0),
+            ("call", "european", 100.0, 0.25, 0.0, 5.0),
+            ("call", "european", 100.0, 0.25, -0.2, 5.0),
         ],
-        ids=["side", "style", "t0_years"],
+        ids=["side", "style", "t0_years", "sigma_zero", "sigma_negative"],
     )
     def test_invalid_contract_names_file_and_row(self, tmp_path, bad_row):
         path = write_contracts(
