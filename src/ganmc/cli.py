@@ -112,6 +112,8 @@ def _run(args) -> int:
     else:  # baseline: argparse accepts no other command
         if args.model == "bs" and args.style == "american":
             raise ConfigError("baseline --model bs prices European options only")
+        if args.sigma <= 0.0:
+            raise ConfigError(f"baseline --sigma must be positive, got {args.sigma}")
         contract = OptionContract(args.side, args.style, args.strike, args.t0)
         spot = load_price_series(cfg.prices_path, cfg.symbol).prices[-1]
         print(f"{baseline_price(args.model, contract, spot, args.sigma, cfg, cfg.seed):.6f}")

@@ -20,19 +20,18 @@ window jointly rather than one bounded level per day. A trained model
 keeps its fitted transform next to the identity-headed generator, and
 ``sample`` applies the inverse to the generator's output.
 
-Checkpoint layout (little-endian): magic ``GMC1``, u32 format version 2,
-then generator and discriminator in that order, each as u32 layer
-count followed per layer by u32 rows, u32 cols, u8 activation tag,
+Checkpoint layout (little-endian): magic ``GMC1``, u32 format version 3,
+then the generator as u32 layer count followed per layer by u32 rows,
+u32 cols, u8 activation tag (0 relu, 1 sigmoid, 2 tanh, 3 identity),
 rows*cols f64 weights (row-major) and rows f64 biases; then the f64
 output scale; the u32 knot count K of the window transform, then f64
 mean[T], std[T], level_knots[K] and normal_knots[K] (nothing when K=0:
-no transform); and a trailing u32 CRC32 of all preceding bytes.
-Activation tags: 0 relu, 1 sigmoid, 2 tanh, 3 identity. The stored
-discriminator consumes standardised log coordinates, not prices.
-Every fault ``load_checkpoint`` finds in a file is a ``CheckpointError``
-that names the file; besides the layout it checks that every f64 is
-finite, the scale and each transform std positive, the level and normal
-knots strictly increasing, and the discriminator's input dimension equal to T.
+no transform); and a trailing u32 CRC32 of all preceding bytes. The
+discriminator only trains the generator and is not stored. Every fault
+``load_checkpoint`` finds in a file is a ``CheckpointError`` that names
+the file; besides the layout it checks that every f64 is finite, the
+scale and each transform std positive, and the level and normal knots
+strictly increasing.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from typing import ClassVar, get_type_hints
 import numpy as np
 
 CHECKPOINT_MAGIC = b"GMC1"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _ACT_TO_TAG = {"relu": 0, "sigmoid": 1, "tanh": 2, "identity": 3}
 _TAG_TO_ACT = {v: k for k, v in _ACT_TO_TAG.items()}
@@ -321,8 +320,10 @@ class GanConfig:
 
 @dataclass(frozen=True)
 class GanModel:
+    """What sampling reads, and the discriminator ``train`` returns (None when loaded)."""
+
     generator: MlpParams
-    discriminator: MlpParams
+    discriminator: MlpParams | None
     scale: float
     # None: the generator emits prices itself (a hand-built model)
     transform: WindowTransform | None = None
@@ -649,7 +650,6 @@ def save_checkpoint(model: GanModel, path) -> None:
         CHECKPOINT_MAGIC
         + struct.pack("<I", CHECKPOINT_VERSION)
         + _pack_net(model.generator)
-        + _pack_net(model.discriminator)
         + struct.pack("<d", model.scale)
         + _pack_transform(model.transform)
     )
@@ -695,10 +695,8 @@ def _unpack_net(reader: _Reader) -> MlpParams:
     return MlpParams(weights=weights, biases=biases, activations=activations)
 
 
-def _check_values(
-    gen: MlpParams, disc: MlpParams, scale: float, transform: WindowTransform | None
-) -> None:
-    values = {"generator": gen.params, "discriminator": disc.params, "scale": scale}
+def _check_values(gen: MlpParams, scale: float, transform: WindowTransform | None) -> None:
+    values = {"generator": gen.params, "scale": scale}
     if transform is not None:
         values.update((f.name, getattr(transform, f.name)) for f in fields(transform))
     for name, value in values.items():
@@ -730,16 +728,14 @@ def load_checkpoint(path) -> GanModel:
             raise CheckpointError(
                 f"format version {version} unsupported (expected {CHECKPOINT_VERSION})"
             )
-        gen, disc = _unpack_net(reader), _unpack_net(reader)
+        gen = _unpack_net(reader)
         T, transform = gen.layer_dims[-1], None
-        if disc.layer_dims[0] != T:
-            raise CheckpointError(f"discriminator input dim {disc.layer_dims[0]} != T={T}")
         scale, knots = reader.unpack("<dI")
         if knots:  # mean[T], std[T], level_knots[K], normal_knots[K]
             transform = WindowTransform(*(reader.f64_array(n) for n in (T, T, knots, knots)))
         if reader.pos != len(body):
             raise CheckpointError("trailing bytes in checkpoint")
-        _check_values(gen, disc, scale, transform)
-        return GanModel(generator=gen, discriminator=disc, scale=scale, transform=transform)
+        _check_values(gen, scale, transform)
+        return GanModel(generator=gen, discriminator=None, scale=scale, transform=transform)
     except (CheckpointError, GanError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc

@@ -43,10 +43,14 @@ def test_traced_model_metrics_run_on_a_loaded_model(monkeypatch, tmp_path):
         prices = gbm_prices(200, seed=3)
         cfg = evaluation.ExperimentConfig(model="gan-mc", T=16, n1=5, seed=0, epochs=3,
                                           batch_size=32, probe_epochs=2)
-        gan.save_checkpoint(evaluation.train_gan(cfg, prices).model, tmp_path / "model.gmc")
+        trained = evaluation.train_gan(cfg, prices).model
+        gan.save_checkpoint(trained, tmp_path / "model.gmc")
         model = gan.load_checkpoint(tmp_path / "model.gmc")
+        # the kernels time the discriminator, which only the trained model holds,
+        # as in the train workload
         windows = windowing.partition(prices, 1, cfg.T).windows
-        kernels = layers.kernel_metrics(model, windows, evaluation.gan_config_from(cfg, model.scale))
+        kernels = layers.kernel_metrics(trained, windows,
+                                        evaluation.gan_config_from(cfg, trained.scale))
         assert len(kernels) == 6 and all(np.isfinite(v) and v > 0 for v in kernels.values())
         tracks = gan.sample(model, 10, 1)
         counts = layers._sample_counts((model, 10, 1), {}, tracks)

@@ -666,9 +666,8 @@ class TestCli:
 
     def test_checkpoint_without_layers_exit_one(self, fixture_files, tmp_path, capsys):
         _, prices_path, contracts_path, _, _ = fixture_files
-        disc = gan.init_mlp([16, 1], ["sigmoid"], np.random.default_rng(0))
         body = (gan.CHECKPOINT_MAGIC + struct.pack("<II", gan.CHECKPOINT_VERSION, 0)
-                + gan._pack_net(disc) + struct.pack("<dI", 1.0, 0))  # no generator layers
+                + struct.pack("<dI", 1.0, 0))  # no generator layers
         ckpt = tmp_path / "empty.gmc"
         ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         cfg_path = write_config(
@@ -763,6 +762,23 @@ class TestCli:
         ])
         assert code == 1
         assert "time to expiry must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["0", "-0.2"])
+    @pytest.mark.parametrize("model", ["bs", "mc"])
+    def test_baseline_nonpositive_sigma_exit_one(self, fixture_files, tmp_path, capsys, model,
+                                                 sigma):
+        _, prices_path, contracts_path, _, _ = fixture_files
+        cfg_path = write_config(
+            tmp_path / "cfg.txt", data__prices=prices_path, contracts__file=contracts_path,
+        )
+        code = cli_main([
+            "--config", str(cfg_path), "baseline", "--model", model,
+            "--side", "call", "--strike", "100", "--t0", "0.25", "--sigma", sigma,
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: baseline --sigma must be positive, got {float(sigma)}\n"
 
     def test_train_missing_prices_file_exit_two(self, tmp_path):
         cfg_path = write_config(

@@ -523,7 +523,7 @@ CHECKPOINT_FAULTS = {
     "checksum": (lambda m, saved: saved(m)[:20] + b"\xff" + saved(m)[21:], "checksum failure"),
     "version_99": (
         lambda m, saved: _seal(saved(m)[:4] + struct.pack("<I", 99) + saved(m)[8:-4]),
-        "format version 99 unsupported (expected 2)",
+        "format version 99 unsupported (expected 3)",
     ),
     "truncated_transform": (lambda m, saved: _seal(saved(m)[:-12]), "truncated checkpoint"),
     "huge_layer": (  # (2**32 - 1)**2 weights: a byte count, not a struct format
@@ -541,17 +541,13 @@ CHECKPOINT_FAULTS = {
     "chain_break": (
         lambda m, saved: _seal(saved(m)[:8] + _CHAIN_BREAK), "layer 1: input dim 7 breaks the chain"
     ),
-    "discriminator_input": (
-        _resaved(discriminator=init_mlp([5, 1], ["sigmoid"], np.random.default_rng(0))),
-        "discriminator input dim 5 != T=6",
-    ),
     "nan_weight": (
         lambda m, saved: saved(_model_with(m, generator=_first_param(m.generator, np.nan))),
         "generator holds a non-finite value",
     ),
     "inf_weight": (
-        lambda m, saved: saved(_model_with(m, discriminator=_first_param(m.discriminator, np.inf))),
-        "discriminator holds a non-finite value",
+        lambda m, saved: saved(_model_with(m, generator=_first_param(m.generator, np.inf))),
+        "generator holds a non-finite value",
     ),
     "scale_nan": (_resaved(scale=np.nan), "scale holds a non-finite value"),
     "scale_negative": (_resaved(scale=-1.0), "scale -1.0 is not positive"),
@@ -572,8 +568,7 @@ CHECKPOINT_FAULTS = {
 class TestCheckpoint:
     def _model(self, rng):
         gen = init_mlp([4, 8, 6], ["relu", "sigmoid"], rng)
-        disc = init_mlp([6, 8, 1], ["tanh", "sigmoid"], rng)
-        return GanModel(generator=gen, discriminator=disc, scale=123.5)
+        return GanModel(generator=gen, discriminator=None, scale=123.5)
 
     @pytest.mark.parametrize("edit, reason", CHECKPOINT_FAULTS.values(),
                              ids=CHECKPOINT_FAULTS.keys())
@@ -618,16 +613,26 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.generator.params, model.generator.params)
         np.testing.assert_array_equal(sample(loaded, 300, 4), sample(model, 300, 4))
 
-    @pytest.mark.parametrize("version", [1, 99])
-    def test_only_format_2_is_read(self, version, rng, tmp_path):
-        # format 1, which no writer produces any more, is rejected like any other version
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_only_format_3_is_read(self, version, rng, tmp_path):
+        # formats 1 and 2, which no writer produces any more, are rejected like any other version
         save_checkpoint(self._model(rng), tmp_path / "model.gmc")
         body = bytearray((tmp_path / "model.gmc").read_bytes()[:-4])
         body[4:8] = struct.pack("<I", version)
         path = tmp_path / f"model_v{version}.gmc"
         path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
-        with pytest.raises(CheckpointError, match=rf"{version} unsupported \(expected 2\)$"):
+        with pytest.raises(CheckpointError, match=rf"{version} unsupported \(expected 3\)$"):
             load_checkpoint(path)
+
+    @pytest.mark.usefixtures("tiny_networks")
+    def test_loaded_model_holds_no_discriminator_and_resaves_same_bytes(self, tmp_path):
+        model = small_trained_model()
+        assert model.discriminator is not None  # train returns the one it trained
+        save_checkpoint(model, tmp_path / "model.gmc")
+        loaded = load_checkpoint(tmp_path / "model.gmc")
+        assert loaded.discriminator is None
+        save_checkpoint(loaded, tmp_path / "resaved.gmc")
+        assert (tmp_path / "resaved.gmc").read_bytes() == (tmp_path / "model.gmc").read_bytes()
 
     @pytest.mark.usefixtures("tiny_networks")
     def test_truncated_transform_section(self, tmp_path):
@@ -641,13 +646,9 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("empty", ["generator", "discriminator"])
-    def test_network_without_layers_rejected(self, empty, rng, tmp_path):
-        model = self._model(rng)
-        nets = {name: gan._pack_net(getattr(model, name)) for name in ("generator", "discriminator")}
-        nets[empty] = struct.pack("<I", 0)  # layer count 0
-        body = (gan.CHECKPOINT_MAGIC + struct.pack("<I", gan.CHECKPOINT_VERSION)
-                + nets["generator"] + nets["discriminator"] + struct.pack("<dI", 1.0, 0))
+    def test_network_without_layers_rejected(self, tmp_path):
+        body = (gan.CHECKPOINT_MAGIC + struct.pack("<II", gan.CHECKPOINT_VERSION, 0)
+                + struct.pack("<dI", 1.0, 0))  # no generator layers
         path = tmp_path / "empty.gmc"
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(CheckpointError, match="no layers"):
