@@ -3,12 +3,13 @@
 All network math is explicit numpy: forward passes, backpropagation,
 and Adam updates, so gradients can be verified against finite
 differences. ``train`` runs its minibatch loop in float32 and returns
-float64 networks of float32 values; ``sample`` runs the generator in
-float32 too and returns float64 tracks. It draws the noise one block of
-tracks at a time and finishes each block in place in the track matrix,
-so it holds the tracks plus one block. Pricing and checkpoints are
-float64. Training and sampling are deterministic given the seed,
-numpy/BLAS build and thread count.
+float64 networks of float32 values. ``sample`` runs the generator and
+the inverse window transform in float32 too, except each track's start
+level, which it maps in float64; it widens each block of tracks into
+the float64 track matrix, so it holds the tracks plus one block's
+float32 buffers. Pricing and checkpoints are float64. Training and
+sampling are deterministic given the seed, numpy/BLAS build and thread
+count.
 
 The networks work in log coordinates: a window x_0..x_{T-1} becomes
 (G(log x_0), log(x_1/x_0), ..., log(x_{T-1}/x_0)), each coordinate
@@ -53,10 +54,10 @@ _TAG_TO_ACT = {v: k for k, v in _ACT_TO_TAG.items()}
 # positive floor for sampled prices, as a fraction of the scale
 TRACK_FLOOR_FRACTION = 1e-6
 
-# rows of noise drawn per forward pass: a 256-wide float32 hidden block of
-# this many rows is 1 MiB and stays in L2, and the block's tracks are
-# finished (inverse transform, scale, floor) in place in the track matrix
-# while they are still there
+# rows of noise drawn per forward pass: at this many rows the per-call
+# float32 buffers (each layer's input with its ones column, and the head
+# output) are about 1.9 MiB and stay in L2 while the block's tracks are
+# finished in the track matrix
 SAMPLE_BLOCK_ROWS = 1024
 
 # knots of the piecewise-linear map between log start levels and a normal
@@ -376,10 +377,9 @@ class WindowTransform:
         coords = _window_coords(_log_windows(windows), self.level_knots, self.normal_knots)
         return (coords - self.mean) / self.std
 
-    def inverse(self, coords, out: np.ndarray | None = None) -> np.ndarray:
-        """Prices of the windows at standardised coordinates, written into
-        ``out`` (a float64 array of their shape) when given."""
-        c = np.multiply(coords, self.std, out=out)
+    def inverse(self, coords) -> np.ndarray:
+        """Prices of the windows at standardised coordinates, in float64."""
+        c = np.multiply(coords, self.std)
         c += self.mean
         log_x0 = _interp_linear(c[:, :1], self.normal_knots, self.level_knots)
         c[:, 1:] += log_x0
@@ -598,31 +598,63 @@ def sample(model: GanModel, n2: int, seed: int) -> np.ndarray:
     """Generate n2 price tracks of length T, floored at TRACK_FLOOR_FRACTION * scale.
 
     A track is transform.inverse(forward(generator, z)) * scale, or
-    forward(generator, z) * scale for a model without a transform. The
-    tracks are made in order, in even blocks of at most SAMPLE_BLOCK_ROWS
-    rows. Each block draws its noise in float64 from the seed's one
-    generator, so the blocks draw the stream of one (n2, noise_dim) draw,
-    and casts it for the float32 generator, as in training; the output is
-    finished in place in the block's rows of the float64 track matrix
-    (inverse transform, scale, floor). A call holds the tracks plus one
-    block.
+    forward(generator, z) * scale for a model without a transform, to
+    float32 rounding. The tracks are made in order, in even blocks of at
+    most SAMPLE_BLOCK_ROWS rows. Each block draws its noise in float64
+    from the seed's one generator, so the blocks draw the stream of one
+    (n2, noise_dim) draw, and casts it for the float32 generator, as in
+    training. The generator adds each bias inside its layer's GEMM and
+    writes into buffers made once per call. The inverse transform applies
+    std, mean and exp in float32; only the level coordinate goes through
+    the level map in float64, giving each track's x0 * scale. The block
+    is widened into its rows of the float64 track matrix, multiplied by
+    x0 * scale and floored there (without a transform: widened, scaled,
+    floored). A call holds the tracks plus one block's buffers.
     """
     if n2 < 1:
         raise GanError(f"sample count must be >= 1, got {n2}")
     rng = np.random.default_rng(seed)
-    gen = model.generator.astype(np.float32)
+    gen, tf, scale = model.generator, model.transform, model.scale
+    # each layer's weights with its bias as a last column: the GEMM of an
+    # input row ending in 1 adds the bias as its last term
+    weights = [np.hstack([w, b[:, None]]).astype(np.float32) for w, b in zip(gen.weights, gen.biases)]
     tracks = np.empty((n2, model.T))
     # even blocks, no short tail: BLAS runs matmuls of a few rows on a
     # small-matrix path whose rows differ from a large matmul's in the last bit
-    for rows in np.array_split(tracks, -(-n2 // SAMPLE_BLOCK_ROWS)):
-        z = rng.standard_normal((len(rows), model.noise_dim)).astype(np.float32)
-        out = forward(gen, z)
-        if model.transform is not None:
-            model.transform.inverse(out, out=rows)
+    blocks = np.array_split(tracks, -(-n2 // SAMPLE_BLOCK_ROWS))
+    # every layer's input with a trailing ones column, then the head output
+    bufs = [np.ones((len(blocks[0]), d + 1), np.float32) for d in gen.layer_dims[:-1]]
+    bufs.append(np.empty((len(blocks[0]), model.T), np.float32))
+    if tf is not None:
+        std, mean = tf.std.astype(np.float32), tf.mean.astype(np.float32)
+    for rows in blocks:
+        h = [buf[: len(rows)] for buf in bufs]
+        h[0][:, :-1] = rng.standard_normal((len(rows), model.noise_dim))
+        for l, (w, act) in enumerate(zip(weights, gen.activations)):
+            z, hidden = h[l + 1], l + 1 < len(weights)
+            np.matmul(h[l], w.T, out=z[:, :-1] if hidden else z)
+            a = _ACTIVATIONS[act][0](z)
+            if a is not z:  # relu and identity work in place and keep the ones at 1
+                z[...] = a
+                if hidden:
+                    z[:, -1] = 1.0
+        c = h[-1]
+        if tf is None:
+            rows[...] = c
+            rows *= scale
         else:
-            rows[...] = out
-        rows *= model.scale
-        np.maximum(rows, TRACK_FLOOR_FRACTION * model.scale, out=rows)
+            # the level coordinate gives x0 * scale in float64; every other
+            # coordinate is log(x_t / x0), whose exp stays in float32
+            c *= std
+            c += mean
+            x0 = np.exp(_interp_linear(c[:, :1].astype(float), tf.normal_knots, tf.level_knots))
+            x0 *= scale
+            c[:, 0] = 0.0
+            np.exp(c, out=c)
+            # widened first: the same products, faster than a mixed-dtype multiply
+            rows[...] = c
+            rows *= x0
+        np.maximum(rows, TRACK_FLOOR_FRACTION * scale, out=rows)
     return tracks
 
 

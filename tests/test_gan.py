@@ -410,20 +410,16 @@ class TestSample:
                         discriminator=init_mlp([64, 1], ["sigmoid"], rng),
                         scale=2.0, transform=WindowTransform.fit(windows))
 
-    @staticmethod
-    def _tracks(model, coords):
-        return np.maximum(model.transform.inverse(coords) * 2.0, TRACK_FLOOR_FRACTION * 2.0)
-
     @pytest.mark.parametrize("n2", [1, SAMPLE_BLOCK_ROWS - 1, SAMPLE_BLOCK_ROWS,
                                     SAMPLE_BLOCK_ROWS + 1, 2 * SAMPLE_BLOCK_ROWS + 3])
     def test_blocks_bit_equal_to_one_pass(self, n2, rng, monkeypatch):
         model = self._served_model(rng)
-        z = np.random.default_rng(5).standard_normal((n2, 32))
-        one_pass = forward(model.generator.astype(np.float32), z).astype(float)
+        monkeypatch.setattr(gan, "SAMPLE_BLOCK_ROWS", n2)
+        one_pass = sample(model, n2, seed=5)
         # each block draws its own noise, in block order, whatever the block size
         for block_rows in (SAMPLE_BLOCK_ROWS, 256, 4096):
             monkeypatch.setattr(gan, "SAMPLE_BLOCK_ROWS", block_rows)
-            np.testing.assert_array_equal(sample(model, n2, seed=5), self._tracks(model, one_pass))
+            np.testing.assert_array_equal(sample(model, n2, seed=5), one_pass)
 
     def test_memory_beyond_the_tracks_does_not_grow_with_n2(self, rng):
         # a call holds the track matrix plus one block: no n2-row noise matrix
@@ -439,11 +435,14 @@ class TestSample:
                 tracemalloc.stop()
         assert abs(extra[1] - extra[0]) < 0.5 * 2**20
 
+    @pytest.mark.usefixtures("tiny_networks")
     def test_float32_tracks_match_float64_reference(self, rng):
-        model = self._served_model(rng)
-        z = np.random.default_rng(5).standard_normal((2048, 32))
-        expected = self._tracks(model, forward(model.generator, z))
-        np.testing.assert_allclose(sample(model, 2048, seed=5), expected, rtol=1e-6, atol=0)
+        # the hand-built model at the served shapes, and one that train returns
+        for model in (self._served_model(rng), small_trained_model()):
+            z = np.random.default_rng(5).standard_normal((2048, model.noise_dim))
+            expected = np.maximum(model.transform.inverse(forward(model.generator, z)) * model.scale,
+                                  TRACK_FLOOR_FRACTION * model.scale)
+            np.testing.assert_allclose(sample(model, 2048, seed=5), expected, rtol=1e-6, atol=0)
 
 
 class TestWindowTransform:
@@ -479,15 +478,6 @@ class TestWindowTransform:
     def test_nonpositive_windows_rejected(self):
         with pytest.raises(GanError, match="positive"):
             WindowTransform.fit(np.array([[1.0, 0.0], [1.0, 2.0]]))
-
-    def test_inverse_into_out_is_bit_equal(self):
-        # float32 coordinates, as the generator emits them, some past the end knots
-        windows = gbm_prices(300, seed=2)[np.arange(40)[:, None] + np.arange(16)]
-        transform = WindowTransform.fit(windows)
-        coords = (3.0 * np.random.default_rng(1).standard_normal((50, 16))).astype(np.float32)
-        buf = np.empty((50, 16))
-        assert transform.inverse(coords, out=buf) is buf
-        np.testing.assert_array_equal(buf, transform.inverse(coords))
 
 
 def _seal(body: bytes) -> bytes:
@@ -644,14 +634,6 @@ class TestCheckpoint:
         short = body[:-8]
         path.write_bytes(short + struct.pack("<I", zlib.crc32(short)))
         with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(path)
-
-    def test_network_without_layers_rejected(self, tmp_path):
-        body = (gan.CHECKPOINT_MAGIC + struct.pack("<II", gan.CHECKPOINT_VERSION, 0)
-                + struct.pack("<dI", 1.0, 0))  # no generator layers
-        path = tmp_path / "empty.gmc"
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        with pytest.raises(CheckpointError, match="no layers"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
