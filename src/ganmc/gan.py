@@ -502,7 +502,9 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
     gaps between the fake batch's per-feature mean and std and the
     training windows', summed over features. The features are the
     coordinates and the daily log-returns, each scaled to unit std over
-    the training windows. The collapse probe is measured in the
+    the training windows. A minibatch step runs the generator once, on one
+    noise draw: the discriminator trains on the first half of the fakes,
+    the generator on the second. The collapse probe is measured in the
     coordinates too. The returned model holds the identity-headed
     generator and the fitted transform, so ``sample`` yields prices:
     transform.inverse(forward(generator, z)) * cfg.scale. Training runs in
@@ -546,12 +548,15 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
         real_epoch[:, 0] = x_std[rng.permutation(m), 0]
         d_epoch, g_epoch = [], []
         for start in range(0, m - b + 1, b):
+            # one generator pass over both steps' noise, drawn as one stream:
+            # the generator changes only at the end of the step
+            z = rng.standard_normal((2 * b, cfg.noise_dim)).astype(np.float32)
+            fakes, (_, post) = _forward_cached(gen, z)
             # discriminator step: one forward and one backward pass over the
-            # real rows, then the fake ones; gradients straight into the
+            # real rows, then the first fakes; gradients straight into the
             # optimiser's buffer, no input gradients
-            z = rng.standard_normal((b, cfg.noise_dim)).astype(np.float32)
             pair[:b] = real_epoch[start : start + b]
-            pair[b:] = forward(gen, z)
+            pair[b:] = fakes[:b]
             d_out, cache = _forward_cached(disc, pair)
             # losses and upstreams from a float64 copy: in float32, 1 - _EPS
             # rounds to 1.0, so a saturated output's clipped log is -inf
@@ -562,10 +567,10 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
             d = np.clip(d, _EPS, 1.0 - _EPS)
             d_epoch.append(float(-(np.log(d[:b]).mean() + np.log1p(-d[b:]).mean())))
 
-            # generator step (non-saturating loss): only the input gradient
-            # of the discriminator, only the parameter gradients of the generator
-            z = rng.standard_normal((b, cfg.noise_dim)).astype(np.float32)
-            fake, cache_g = _forward_cached(gen, z)
+            # generator step (non-saturating loss) on the other fakes, through
+            # row views of the pass's cache: only the input gradient of the
+            # discriminator, only the parameter gradients of the generator
+            fake, cache_g = fakes[b:], (z[b:], [a[b:] for a in post])
             d_out, cache_d = _forward_cached(disc, fake)
             d = d_out.astype(float)
             upstream = (-1.0 / (np.maximum(d, _EPS) * b)).astype(np.float32)
