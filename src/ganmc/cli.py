@@ -20,6 +20,7 @@ from .evaluation import (
     StageError,
     baseline_price,
     generate_tracks_csv,
+    load_history,
     parse_config,
     price_commodity_pipeline,
     price_equity_futures_pipeline,
@@ -91,8 +92,7 @@ def _run(args) -> int:
         raise ConfigError(f"{args.command} requires --out")
 
     if args.command == "train":
-        series = load_price_series(cfg.prices_path, cfg.symbol)
-        pipe = train_gan(cfg, np.asarray(series.prices))
+        pipe = train_gan(cfg, np.asarray(load_history(cfg).prices))
         save_checkpoint(pipe.model, args.out)
         print(f"trained at stride d={pipe.d}, checkpoint written to {args.out}")
     elif args.command == "generate":

@@ -328,20 +328,33 @@ def _load_prices(cfg: ExperimentConfig) -> PriceSeries:
     return _stage("market_data", load_price_series, cfg.prices_path, cfg.symbol)
 
 
+def load_history(cfg: ExperimentConfig) -> PriceSeries:
+    """The staged price load of a command that trains or samples: at least T prices."""
+    series = _load_prices(cfg)
+    n = len(series.prices)
+    if n < cfg.T:
+        raise StageError(
+            "market_data",
+            MarketDataError(f"{cfg.prices_path}: {n} prices, fewer than the window length T={cfg.T}"),
+        )
+    return series
+
+
 def _retained(
     cfg: ExperimentConfig, stage: str = "", t0s: Iterable[float] = ()
 ) -> tuple[PriceSeries, np.ndarray, dict[float, np.ndarray]]:
     """The one reading of every GAN-MC command.
 
     It finds the payoff day k = T0/dt of each T0 in `t0s` under `stage` (so
-    a bad day fails before any training), then loads the history, obtains
+    a bad day fails before any training), then loads the history (a short
+    one fails before any checkpoint is read or training starts), obtains
     the model, samples N2 tracks once and keeps the most similar to the last
     T prices, ranked once over all T days. It returns the history, the
     retained tracks and, for each T0, the retained paths from day 1 to day k:
     a view of the tracks whose last column is day k.
     """
     days = {t0_years: _stage(stage, payoff_index, t0_years, cfg.dt, cfg.T) for t0_years in t0s}
-    series = _load_prices(cfg)
+    series = load_history(cfg)
     prices = np.asarray(series.prices, dtype=float)
     model = _stage("gan_core", obtain_model, cfg, prices)
     kept = _stage("similarity", selected_tracks, model, prices[-cfg.T :], cfg)

@@ -2,14 +2,14 @@
 
 All network math is explicit numpy: forward passes, backpropagation,
 and Adam updates, so gradients can be verified against finite
-differences. ``train`` runs its minibatch loop in float32 and returns
-float64 networks of float32 values. ``sample`` runs the generator and
+differences. A network computes in its own dtype. ``train`` runs its
+minibatch loop in float32 and returns the float32 networks it trained,
+which checkpoints store as float32. ``sample`` runs the generator and
 the inverse window transform in float32 too, except each track's start
 level, which it maps in float64; it widens each block of tracks into
 the float64 track matrix, so it holds the tracks plus one block's
-float32 buffers. Pricing and checkpoints are float64. Training and
-sampling are deterministic given the seed, numpy/BLAS build and thread
-count.
+float32 buffers. Pricing is float64. Training and sampling are
+deterministic given the seed, numpy/BLAS build and thread count.
 
 The networks work in log coordinates: a window x_0..x_{T-1} becomes
 (G(log x_0), log(x_1/x_0), ..., log(x_{T-1}/x_0)), each coordinate
@@ -21,18 +21,19 @@ window jointly rather than one bounded level per day. A trained model
 keeps its fitted transform next to the identity-headed generator, and
 ``sample`` applies the inverse to the generator's output.
 
-Checkpoint layout (little-endian): magic ``GMC1``, u32 format version 3,
+Checkpoint layout (little-endian): magic ``GMC1``, u32 format version 4,
 then the generator as u32 layer count followed per layer by u32 rows,
 u32 cols, u8 activation tag (0 relu, 1 sigmoid, 2 tanh, 3 identity),
-rows*cols f64 weights (row-major) and rows f64 biases; then the f64
+rows*cols f4 weights (row-major) and rows f4 biases; then the f64
 output scale; the u32 knot count K of the window transform, then f64
 mean[T], std[T], level_knots[K] and normal_knots[K] (nothing when K=0:
 no transform); and a trailing u32 CRC32 of all preceding bytes. The
-discriminator only trains the generator and is not stored. Every fault
-``load_checkpoint`` finds in a file is a ``CheckpointError`` that names
-the file; besides the layout it checks that every f64 is finite, the
-scale and each transform std positive, and the level and normal knots
-strictly increasing.
+scale and the transform are f64 because sampling maps the level
+coordinate in float64. The discriminator only trains the generator and
+is not stored. Every fault ``load_checkpoint`` finds in a file is a
+``CheckpointError`` that names the file; besides the layout it checks
+that every value is finite, the scale and each transform std positive,
+and the level and normal knots strictly increasing.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import ClassVar, get_type_hints
 import numpy as np
 
 CHECKPOINT_MAGIC = b"GMC1"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 _ACT_TO_TAG = {"relu": 0, "sigmoid": 1, "tanh": 2, "identity": 3}
 _TAG_TO_ACT = {v: k for k, v in _ACT_TO_TAG.items()}
@@ -216,9 +217,10 @@ class MlpGrads:
 
 
 def backward(net: MlpParams, x, upstream) -> MlpGrads:
-    """Backpropagate an upstream output gradient to every weight and bias."""
-    xv = np.asarray(x, dtype=float)
-    uv = np.asarray(upstream, dtype=float)
+    """Backpropagate an upstream output gradient to every weight and bias,
+    in the network's dtype."""
+    xv = np.asarray(x, dtype=net.params.dtype)
+    uv = np.asarray(upstream, dtype=net.params.dtype)
     if xv.ndim == 1:
         xv = xv[None, :]
         uv = uv[None, :]
@@ -509,8 +511,8 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
     generator and the fitted transform, so ``sample`` yields prices:
     transform.inverse(forward(generator, z)) * cfg.scale. Training runs in
     float32 (initialised and noise drawn in float64, then cast, so a seed
-    draws the same stream) and returns float64 networks of float32 values;
-    a seed repeats the run bit for bit on one numpy/BLAS build and thread count.
+    draws the same stream) and returns the float32 networks; a seed
+    repeats the run bit for bit on one numpy/BLAS build and thread count.
     """
     x = np.asarray(windows, dtype=float)
     if x.ndim != 2 or x.shape[1] != cfg.T:
@@ -596,7 +598,7 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
             report.collapse_reason = reason
             break
 
-    return GanModel(gen.astype(float), disc.astype(float), cfg.scale, transform), report
+    return GanModel(gen, disc, cfg.scale, transform), report
 
 
 def sample(model: GanModel, n2: int, seed: int) -> np.ndarray:
@@ -668,8 +670,8 @@ def _pack_net(net: MlpParams) -> bytes:
     for w, b, act in zip(net.weights, net.biases, net.activations):
         rows, cols = w.shape
         parts.append(struct.pack("<IIB", rows, cols, _ACT_TO_TAG[act]))
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        parts.append(np.ascontiguousarray(w, dtype="<f4").tobytes())
+        parts.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
     return b"".join(parts)
 
 
@@ -713,8 +715,9 @@ class _Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def f64_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(float)
+    def array(self, count: int, dtype: str) -> np.ndarray:
+        """A copy of count values stored as dtype ("<f4" or "<f8")."""
+        return np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype).astype(dtype)
 
 
 def _unpack_net(reader: _Reader) -> MlpParams:
@@ -726,8 +729,8 @@ def _unpack_net(reader: _Reader) -> MlpParams:
         rows, cols, tag = reader.unpack("<IIB")
         if tag not in _TAG_TO_ACT:
             raise CheckpointError(f"unknown activation tag {tag}")
-        weights.append(reader.f64_array(rows * cols).reshape(rows, cols))
-        biases.append(reader.f64_array(rows))
+        weights.append(reader.array(rows * cols, "<f4").reshape(rows, cols))
+        biases.append(reader.array(rows, "<f4"))
         activations.append(_TAG_TO_ACT[tag])
     return MlpParams(weights=weights, biases=biases, activations=activations)
 
@@ -769,7 +772,7 @@ def load_checkpoint(path) -> GanModel:
         T, transform = gen.layer_dims[-1], None
         scale, knots = reader.unpack("<dI")
         if knots:  # mean[T], std[T], level_knots[K], normal_knots[K]
-            transform = WindowTransform(*(reader.f64_array(n) for n in (T, T, knots, knots)))
+            transform = WindowTransform(*(reader.array(n, "<f8") for n in (T, T, knots, knots)))
         if reader.pos != len(body):
             raise CheckpointError("trailing bytes in checkpoint")
         _check_values(gen, scale, transform)

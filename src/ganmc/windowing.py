@@ -33,7 +33,6 @@ class WindowSet:
 
     windows: np.ndarray  # shape (count, T)
     d: int
-    T: int
 
     def __len__(self) -> int:
         return self.windows.shape[0]
@@ -52,7 +51,7 @@ def partition(values: Sequence[float] | np.ndarray, d: int, T: int) -> WindowSet
     if d > T:
         raise WindowingError(f"stride {d} exceeds window length {T}")
     windows = sliding_window_view(src, T)[::d].copy()
-    return WindowSet(windows=windows, d=d, T=T)
+    return WindowSet(windows=windows, d=d)
 
 
 def search_stride(

@@ -785,7 +785,7 @@ class TestCli:
             tmp_path / "cfg.txt", data__prices=tmp_path / "nope.csv", model__kind="gan-mc",
         )
         code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "m.gmc"), "train"])
-        assert code == 2  # an OSError raised outside any pipeline stage
+        assert code == 2  # the market_data stage's cause is an OSError
 
     @pytest.mark.parametrize(
         "argv",
@@ -1105,3 +1105,28 @@ class TestFailBeforeTraining:
             ["--out", str(tmp_path / "tracks.csv"), "generate", "--count", "14"],
         )
         assert (code, no_training) == (1, [])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--out", "m.gmc", "train"],
+         ["price-option", "--side", "call", "--strike", "100", "--t0", repr(10 / 252)],
+         ["--out", "tracks.csv", "generate", "--count", "1"]],
+        ids=["train", "price_option", "generate"],
+    )
+    @pytest.mark.parametrize("with_checkpoint", [True, False], ids=["checkpoint", "no_checkpoint"])
+    def test_history_shorter_than_T_names_the_file(self, command_files, tmp_path, no_training,
+                                                   monkeypatch, capsys, argv, with_checkpoint):
+        # 10 prices at T=16: one check, right after the staged price load
+        def refuse(path):
+            raise RuntimeError("checkpoint read")
+
+        monkeypatch.setattr(evaluation, "load_checkpoint", refuse)
+        _, _, checkpoint = command_files
+        prices = write_price_csv(tmp_path / "prices.csv", gbm_prices(10, seed=1).tolist())
+        overrides = {"gan__checkpoint": checkpoint} if with_checkpoint else {}
+        monkeypatch.chdir(tmp_path)
+        code = self._exit_code(command_files, tmp_path, argv, data__prices=prices, **overrides)
+        assert (code, no_training) == (1, [])
+        assert capsys.readouterr().err == (
+            f"error: [market_data] {prices}: 10 prices, fewer than the window length T=16\n"
+        )

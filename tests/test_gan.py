@@ -94,6 +94,15 @@ class TestForward:
 
 
 class TestBackward:
+    def test_float32_net_backpropagates_in_float32(self, rng):
+        net = init_mlp([32, 128, 256, 64], ["relu", "relu", "identity"], rng)
+        x = rng.standard_normal((100, 32))
+        u = rng.standard_normal((100, 64)) / 100
+        g32, g64 = backward(net.astype(np.float32), x, u), backward(net, x, u)
+        for a, b in zip(g32.weights + g32.biases, g64.weights + g64.biases):
+            assert a.dtype == np.float32
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+
     def test_identity_layer_squared_loss_gradient(self, rng):
         w = rng.standard_normal((3, 3))
         b = rng.standard_normal(3)
@@ -333,13 +342,12 @@ class TestTrain:
         assert len(model.transform.level_knots) >= 1
 
     @pytest.mark.usefixtures("tiny_networks")
-    def test_returns_float64_nets_of_float32_values(self):
-        # trained in float32 and cast once at the end; checkpoint format 3
+    def test_returns_float32_nets(self):
+        # trained and returned in float32; checkpoint format 4
         # stores the generator exactly (TestCheckpoint::test_round_trip_trained_model)
         model = small_trained_model()
         for net in (model.generator, model.discriminator):
-            assert net.params.dtype == np.float64
-            np.testing.assert_array_equal(net.params.astype(np.float32).astype(float), net.params)
+            assert net.params.dtype == np.float32
 
     @pytest.mark.parametrize("level", [0.0, 1.0])
     @pytest.mark.usefixtures("tiny_networks")
@@ -406,10 +414,10 @@ class TestSample:
 
     def _served_model(self, rng):
         # the served shapes: noise 32, hidden (128, 256), T=64; a trained
-        # generator holds float32 values
+        # generator is float32
         windows = gbm_prices(300, seed=8)[np.arange(200)[:, None] + np.arange(64)]
         gen = init_mlp([32, 128, 256, 64], ["relu", "relu", "identity"], rng)
-        return GanModel(generator=gen.astype(np.float32).astype(float),
+        return GanModel(generator=gen.astype(np.float32),
                         discriminator=init_mlp([64, 1], ["sigmoid"], rng),
                         scale=2.0, transform=WindowTransform.fit(windows))
 
@@ -440,9 +448,11 @@ class TestSample:
 
     @staticmethod
     def _float64_tracks(model, n2, seed):
-        # sample's tracks from a float64 forward pass and inverse transform
+        # sample's tracks from a float64 forward pass and inverse transform:
+        # forward computes in the network's dtype, so the generator is widened
         z = np.random.default_rng(seed).standard_normal((n2, model.noise_dim))
-        return np.maximum(model.transform.inverse(forward(model.generator, z)) * model.scale,
+        coords = forward(model.generator.astype(float), z)
+        return np.maximum(model.transform.inverse(coords) * model.scale,
                           TRACK_FLOOR_FRACTION * model.scale)
 
     @pytest.mark.usefixtures("tiny_networks")
@@ -536,8 +546,8 @@ def _resaved(**changes):
 
 
 # generator layers 4 -> 8 -> 6 whose second layer reads 7 inputs
-_CHAIN_BREAK = (struct.pack("<IIIB", 2, 8, 4, 0) + bytes(8 * (32 + 8))
-                + struct.pack("<IIB", 6, 7, 1) + bytes(8 * (42 + 6)))
+_CHAIN_BREAK = (struct.pack("<IIIB", 2, 8, 4, 0) + bytes(4 * (32 + 8))
+                + struct.pack("<IIB", 6, 7, 1) + bytes(4 * (42 + 6)))
 
 # case id -> (file bytes from the model and the writer, reason after "<path>: ")
 CHECKPOINT_FAULTS = {
@@ -545,7 +555,7 @@ CHECKPOINT_FAULTS = {
     "checksum": (lambda m, saved: saved(m)[:20] + b"\xff" + saved(m)[21:], "checksum failure"),
     "version_99": (
         lambda m, saved: _seal(saved(m)[:4] + struct.pack("<I", 99) + saved(m)[8:-4]),
-        "format version 99 unsupported (expected 3)",
+        "format version 99 unsupported (expected 4)",
     ),
     "truncated_transform": (lambda m, saved: _seal(saved(m)[:-12]), "truncated checkpoint"),
     "huge_layer": (  # (2**32 - 1)**2 weights: a byte count, not a struct format
@@ -620,8 +630,9 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.scale == model.scale
         np.testing.assert_array_equal(sample(model, 5, 3), sample(loaded, 5, 3))
+        # the hand-built float64 weights are stored rounded to float32
         for a, b in zip(model.generator.weights, loaded.generator.weights):
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a.astype(np.float32), b)
 
     @pytest.mark.usefixtures("tiny_networks")
     def test_round_trip_trained_model(self, tmp_path):
@@ -632,18 +643,19 @@ class TestCheckpoint:
         for name in ("mean", "std", "level_knots", "normal_knots"):
             np.testing.assert_array_equal(getattr(loaded.transform, name),
                                           getattr(model.transform, name))
+        assert loaded.generator.params.dtype == np.float32
         np.testing.assert_array_equal(loaded.generator.params, model.generator.params)
         np.testing.assert_array_equal(sample(loaded, 300, 4), sample(model, 300, 4))
 
-    @pytest.mark.parametrize("version", [1, 2, 99])
-    def test_only_format_3_is_read(self, version, rng, tmp_path):
-        # formats 1 and 2, which no writer produces any more, are rejected like any other version
+    @pytest.mark.parametrize("version", [1, 2, 3, 99])
+    def test_only_format_4_is_read(self, version, rng, tmp_path):
+        # formats 1 to 3, which no writer produces any more, are rejected like any other version
         save_checkpoint(self._model(rng), tmp_path / "model.gmc")
         body = bytearray((tmp_path / "model.gmc").read_bytes()[:-4])
         body[4:8] = struct.pack("<I", version)
         path = tmp_path / f"model_v{version}.gmc"
         path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
-        with pytest.raises(CheckpointError, match=rf"{version} unsupported \(expected 3\)$"):
+        with pytest.raises(CheckpointError, match=rf"{version} unsupported \(expected 4\)$"):
             load_checkpoint(path)
 
     @pytest.mark.usefixtures("tiny_networks")
