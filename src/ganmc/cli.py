@@ -18,6 +18,7 @@ import numpy as np
 from .evaluation import (
     ConfigError,
     StageError,
+    _stage,
     baseline_price,
     generate_tracks_csv,
     load_history,
@@ -115,7 +116,7 @@ def _run(args) -> int:
         if args.sigma <= 0.0:
             raise ConfigError(f"baseline --sigma must be positive, got {args.sigma}")
         contract = OptionContract(args.side, args.style, args.strike, args.t0)
-        spot = load_price_series(cfg.prices_path, cfg.symbol).prices[-1]
+        spot = _stage("market_data", load_price_series, cfg.prices_path, cfg.symbol).prices[-1]
         print(f"{baseline_price(args.model, contract, spot, args.sigma, cfg, cfg.seed):.6f}")
     return 0
 

@@ -7,9 +7,11 @@ minibatch loop in float32 and returns the float32 networks it trained,
 which checkpoints store as float32. ``sample`` runs the generator and
 the inverse window transform in float32 too, except each track's start
 level, which it maps in float64; it widens each block of tracks into
-the float64 track matrix, so it holds the tracks plus one block's
-float32 buffers. Pricing is float64. Training and sampling are
-deterministic given the seed, numpy/BLAS build and thread count.
+the float64 track matrix. Its blocks run on every CPU the process may
+use, drawing their noise in block order, so a call holds the tracks
+plus one block's buffers per worker, and its tracks do not depend on
+the CPU count. Pricing is float64. Training and sampling are
+deterministic given the seed, numpy/BLAS build and BLAS thread count.
 
 The networks work in log coordinates: a window x_0..x_{T-1} becomes
 (G(log x_0), log(x_1/x_0), ..., log(x_{T-1}/x_0)), each coordinate
@@ -38,8 +40,11 @@ and the level and normal knots strictly increasing.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from statistics import NormalDist
 from typing import ClassVar, get_type_hints
@@ -55,10 +60,11 @@ _TAG_TO_ACT = {v: k for k, v in _ACT_TO_TAG.items()}
 # positive floor for sampled prices, as a fraction of the scale
 TRACK_FLOOR_FRACTION = 1e-6
 
-# rows of noise drawn per forward pass: at this many rows the per-call
-# float32 buffers (each layer's input with its ones column, and the head
-# output) are about 1.9 MiB and stay in L2 while the block's tracks are
-# finished in the track matrix
+# rows of noise drawn per forward pass: at this many rows a worker's
+# buffers (the float64 noise, each layer's float32 input with its ones
+# column, and the float32 head output) are about 2.1 MiB and stay in L2
+# while the block's tracks are finished in the track matrix; a call makes
+# one set per worker
 SAMPLE_BLOCK_ROWS = 1024
 
 # knots of the piecewise-linear map between log start levels and a normal
@@ -601,22 +607,35 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
     return GanModel(gen, disc, cfg.scale, transform), report
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def sample(model: GanModel, n2: int, seed: int) -> np.ndarray:
     """Generate n2 price tracks of length T, floored at TRACK_FLOOR_FRACTION * scale.
 
     A track is transform.inverse(forward(generator, z)) * scale, or
     forward(generator, z) * scale for a model without a transform, to
-    float32 rounding. The tracks are made in order, in even blocks of at
-    most SAMPLE_BLOCK_ROWS rows. Each block draws its noise in float64
-    from the seed's one generator, so the blocks draw the stream of one
-    (n2, noise_dim) draw, and casts it for the float32 generator, as in
-    training. The generator adds each bias inside its layer's GEMM and
-    writes into buffers made once per call. The inverse transform applies
-    std, mean and exp in float32; only the level coordinate goes through
-    the level map in float64, giving each track's x0 * scale. The block
-    is widened into its rows of the float64 track matrix, multiplied by
-    x0 * scale and floored there (without a transform: widened, scaled,
-    floored). A call holds the tracks plus one block's buffers.
+    float32 rounding. The tracks are made in even blocks of at most
+    SAMPLE_BLOCK_ROWS rows, by min(block count, usable CPUs) workers, the
+    calling thread among them: a one-block call or a one-CPU process starts
+    no thread. Under one lock a worker takes the next block in order and
+    draws its noise in float64 from the seed's one generator, so the blocks
+    draw the stream of one (n2, noise_dim) draw and every track is the same
+    bit for bit whatever the worker count. Outside the lock the worker casts
+    the noise for the float32 generator, as in training, and finishes the
+    block. The generator adds each bias inside its layer's GEMM and writes
+    into buffers made for each worker before any worker starts. The inverse
+    transform applies std, mean and exp in float32; only the level
+    coordinate goes through the level map in float64, giving each track's
+    x0 * scale. The block is widened into its rows of the float64 track
+    matrix, multiplied by x0 * scale and floored there (without a
+    transform: widened, scaled, floored). A call holds the tracks plus one
+    block's buffers per worker; a worker's fault stops the others at their
+    next block and is raised here, after every helper thread has ended.
     """
     if n2 < 1:
         raise GanError(f"sample count must be >= 1, got {n2}")
@@ -629,39 +648,73 @@ def sample(model: GanModel, n2: int, seed: int) -> np.ndarray:
     # even blocks, no short tail: BLAS runs matmuls of a few rows on a
     # small-matrix path whose rows differ from a large matmul's in the last bit
     blocks = np.array_split(tracks, -(-n2 // SAMPLE_BLOCK_ROWS))
-    # every layer's input with a trailing ones column, then the head output
-    bufs = [np.ones((len(blocks[0]), d + 1), np.float32) for d in gen.layer_dims[:-1]]
-    bufs.append(np.empty((len(blocks[0]), model.T), np.float32))
+    workers = min(len(blocks), _usable_cpus())
+    # per worker: the float64 noise, every layer's input with a trailing
+    # ones column, then the head output
+    rows_max = len(blocks[0])
+    buffers = [
+        [np.empty((rows_max, model.noise_dim))]
+        + [np.empty((rows_max, d + 1), np.float32) for d in gen.layer_dims[:-1]]
+        + [np.empty((rows_max, model.T), np.float32)]
+        for _ in range(workers)
+    ]
     if tf is not None:
         std, mean = tf.std.astype(np.float32), tf.mean.astype(np.float32)
-    for rows in blocks:
-        h = [buf[: len(rows)] for buf in bufs]
-        h[0][:, :-1] = rng.standard_normal((len(rows), model.noise_dim))
-        for l, (w, act) in enumerate(zip(weights, gen.activations)):
-            z, hidden = h[l + 1], l + 1 < len(weights)
-            np.matmul(h[l], w.T, out=z[:, :-1] if hidden else z)
-            a = _ACTIVATIONS[act][0](z)
-            if a is not z:  # relu and identity work in place and keep the ones at 1
-                z[...] = a
-                if hidden:
-                    z[:, -1] = 1.0
-        c = h[-1]
-        if tf is None:
-            rows[...] = c
-            rows *= scale
-        else:
-            # the level coordinate gives x0 * scale in float64; every other
-            # coordinate is log(x_t / x0), whose exp stays in float32
-            c *= std
-            c += mean
-            x0 = np.exp(_interp_linear(c[:, :1].astype(float), tf.normal_knots, tf.level_knots))
-            x0 *= scale
-            c[:, 0] = 0.0
-            np.exp(c, out=c)
-            # widened first: the same products, faster than a mixed-dtype multiply
-            rows[...] = c
-            rows *= x0
-        np.maximum(rows, TRACK_FLOOR_FRACTION * scale, out=rows)
+    lock = threading.Lock()
+    taken = 0  # blocks whose noise has been drawn
+
+    def work(noise: np.ndarray, *bufs: np.ndarray) -> None:
+        nonlocal taken
+        try:
+            # the worker's first write to its buffers: their pages fault in on
+            # every CPU at once, not all on the caller's
+            for buf in bufs[:-1]:
+                buf[:, -1] = 1.0
+            while True:
+                with lock:  # the next block draws the stream's next rows
+                    if taken == len(blocks):
+                        return
+                    rows, taken = blocks[taken], taken + 1
+                    rng.standard_normal(out=noise[: len(rows)])
+                h = [buf[: len(rows)] for buf in bufs]
+                h[0][:, :-1] = noise[: len(rows)]
+                for l, (w, act) in enumerate(zip(weights, gen.activations)):
+                    z, hidden = h[l + 1], l + 1 < len(weights)
+                    np.matmul(h[l], w.T, out=z[:, :-1] if hidden else z)
+                    a = _ACTIVATIONS[act][0](z)
+                    if a is not z:  # relu and identity work in place and keep the ones at 1
+                        z[...] = a
+                        if hidden:
+                            z[:, -1] = 1.0
+                c = h[-1]
+                if tf is None:
+                    rows[...] = c
+                    rows *= scale
+                else:
+                    # the level coordinate gives x0 * scale in float64; every other
+                    # coordinate is log(x_t / x0), whose exp stays in float32
+                    c *= std
+                    c += mean
+                    x0 = np.exp(_interp_linear(c[:, :1].astype(float),
+                                               tf.normal_knots, tf.level_knots))
+                    x0 *= scale
+                    c[:, 0] = 0.0
+                    np.exp(c, out=c)
+                    # widened first: the same products, faster than a mixed-dtype multiply
+                    rows[...] = c
+                    rows *= x0
+                np.maximum(rows, TRACK_FLOOR_FRACTION * scale, out=rows)
+        except BaseException:
+            with lock:
+                taken = len(blocks)  # the other workers stop at their next block
+            raise
+
+    # threads start per submit, so the pool starts workers - 1 of them
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        helpers = [pool.submit(work, *bufs) for bufs in buffers[1:]]
+        work(*buffers[0])
+        for helper in helpers:
+            helper.result()
     return tracks
 
 
@@ -685,6 +738,13 @@ def _pack_transform(transform: WindowTransform | None) -> bytes:
 
 
 def save_checkpoint(model: GanModel, path) -> None:
+    """Write a checkpoint; a generator value beyond float32's range is a
+    CheckpointError that names the path, and no file is written."""
+    params = model.generator.params
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(params.astype(np.float32)) & np.isfinite(params)
+    if overflows.any():
+        raise CheckpointError(f"{path}: generator holds a value beyond float32's range")
     body = (
         CHECKPOINT_MAGIC
         + struct.pack("<I", CHECKPOINT_VERSION)

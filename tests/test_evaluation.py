@@ -780,6 +780,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: baseline --sigma must be positive, got {float(sigma)}\n"
 
+    def test_baseline_missing_prices_file_exit_two_at_market_data(self, tmp_path, capsys):
+        prices = tmp_path / "nope.csv"
+        cfg_path = write_config(tmp_path / "cfg.txt", data__prices=prices)
+        code = cli_main([
+            "--config", str(cfg_path), "baseline", "--model", "bs",
+            "--side", "call", "--strike", "100", "--t0", "0.25", "--sigma", "0.2",
+        ])
+        assert code == 2  # the market_data stage's cause is an OSError
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [market_data] ")
+        assert str(prices) in captured.err
+
     def test_train_missing_prices_file_exit_two(self, tmp_path):
         cfg_path = write_config(
             tmp_path / "cfg.txt", data__prices=tmp_path / "nope.csv", model__kind="gan-mc",

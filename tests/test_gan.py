@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import struct
+import sys
+import threading
 import tracemalloc
 import zlib
 
@@ -432,8 +435,73 @@ class TestSample:
             monkeypatch.setattr(gan, "SAMPLE_BLOCK_ROWS", block_rows)
             np.testing.assert_array_equal(sample(model, n2, seed=5), one_pass)
 
-    def test_memory_beyond_the_tracks_does_not_grow_with_n2(self, rng):
-        # a call holds the track matrix plus one block: no n2-row noise matrix
+    @staticmethod
+    def _with_workers(monkeypatch, workers):
+        # sample runs min(block count, usable CPUs) workers
+        monkeypatch.setattr(gan, "_usable_cpus", lambda: workers)
+
+    @pytest.mark.parametrize("n2", [1, 7, SAMPLE_BLOCK_ROWS - 1, SAMPLE_BLOCK_ROWS + 1,
+                                    2 * SAMPLE_BLOCK_ROWS + 3, 5120])
+    @pytest.mark.parametrize("with_transform", [True, False])
+    def test_bit_equal_for_any_worker_count(self, n2, with_transform, rng, monkeypatch):
+        model = self._served_model(rng)
+        if not with_transform:
+            model = dataclasses.replace(model, transform=None)
+        self._with_workers(monkeypatch, 1)
+        one_worker = sample(model, n2, seed=5)
+        for workers in (2, 3):
+            self._with_workers(monkeypatch, workers)
+            np.testing.assert_array_equal(sample(model, n2, seed=5), one_worker)
+
+    def test_draw_order_holds_with_more_workers_than_cpus(self, rng, monkeypatch):
+        # 8 workers over 401 blocks of 1 or 2 rows, switching threads as often
+        # as the interpreter allows: a block drawn out of order changes its tracks
+        model = self._served_model(rng)
+        monkeypatch.setattr(gan, "SAMPLE_BLOCK_ROWS", 2)
+        n2 = 2 * 400 + 1
+        self._with_workers(monkeypatch, 1)
+        one_worker = sample(model, n2, seed=5)
+        self._with_workers(monkeypatch, 8)
+        result = []
+        runner = threading.Thread(target=lambda: result.append(sample(model, n2, seed=5)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        np.testing.assert_array_equal(result[0], one_worker)
+
+    @pytest.mark.parametrize("fault", ["third call", "helper thread"])
+    def test_worker_fault_is_raised_after_every_thread_ends(self, fault, rng, monkeypatch):
+        model = self._served_model(rng)  # fits its transform before the patch
+        calls = itertools.count(1)
+        caller = threading.get_ident()
+        interp = gan._interp_linear
+
+        def failing(*args):
+            # one call per block; "helper thread" fails every call off the caller
+            call = next(calls)
+            fails = call == 3 if fault == "third call" else threading.get_ident() != caller
+            if fails:
+                raise FloatingPointError(fault)
+            return interp(*args)
+
+        monkeypatch.setattr(gan, "_interp_linear", failing)
+        self._with_workers(monkeypatch, 3)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match=fault):
+            sample(model, 8 * SAMPLE_BLOCK_ROWS, seed=5)
+        assert threading.active_count() == threads
+        # the fault stopped the other workers before they took every block
+        assert next(calls) - 1 < 8
+
+    def test_memory_beyond_the_tracks_does_not_grow_with_n2(self, rng, monkeypatch):
+        # a call holds the track matrix plus one block per worker: no n2-row
+        # noise matrix. Both calls run the same number of workers.
+        self._with_workers(monkeypatch, 2)
         model = self._served_model(rng)
         sample(model, SAMPLE_BLOCK_ROWS, seed=5)  # one-off first-call allocations
         extra = []
@@ -617,6 +685,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert str(exc.value) == f"{path}: {reason}"
+
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_generator_beyond_float32_range_rejected_before_writing(self, value, rng, tmp_path):
+        model = self._model(rng)
+        model = dataclasses.replace(model, generator=_first_param(model.generator, value))
+        path = tmp_path / "model.gmc"
+        with pytest.raises(CheckpointError) as exc:
+            save_checkpoint(model, path)
+        assert str(exc.value) == f"{path}: generator holds a value beyond float32's range"
+        assert not path.exists()
 
     def test_missing_file_is_an_os_error(self, tmp_path):
         # outside the file's faults: the CLI maps it to exit 2
