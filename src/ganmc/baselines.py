@@ -29,8 +29,6 @@ def norm_cdf(x: float) -> float:
 
 def bs_price(side: str, spot: float, strike: float, r: float, sigma: float, tau: float) -> float:
     """Closed-form European option value."""
-    if side not in ("call", "put"):
-        raise PricingError(f"side must be call or put, got {side!r}")
     for name, v in (("spot", spot), ("strike", strike), ("sigma", sigma), ("tau", tau)):
         if not (v > 0):
             raise PricingError(f"{name} must be positive, got {v}")
@@ -47,8 +45,6 @@ def simulate_gbm_terminals(
 ) -> np.ndarray:
     """GBM prices at tau, one exact lognormal draw per path:
     spot * exp((mu - sigma^2/2) * tau + sigma * sqrt(tau) * z)."""
-    if n_paths < 1:
-        raise PricingError(f"need at least one path, got {n_paths}")
     z = np.random.default_rng(seed).standard_normal(n_paths)
     return spot * np.exp((mu - 0.5 * sigma * sigma) * tau + sigma * math.sqrt(tau) * z)
 
@@ -67,11 +63,6 @@ def gbm_mc_option(
     risk_neutral: bool = False,
 ) -> float:
     """GBM Monte Carlo option price with strike-anchored drift by default."""
-    for name, v in (("spot", spot), ("strike", strike), ("tau", tau)):
-        if not (v > 0):
-            raise PricingError(f"{name} must be positive, got {v}")
-    if sigma < 0:
-        raise PricingError(f"sigma must be >= 0, got {sigma}")
     # the simulator subtracts sigma^2/2 itself, so the risk-neutral
     # price drift is plain r
     mu = r if risk_neutral else math.log(strike / spot) / tau

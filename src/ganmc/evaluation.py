@@ -35,6 +35,7 @@ from .futures import (
 from .gan import GanConfig, GanModel, TrainReport, load_checkpoint, sample, train
 from .market_data import (
     DEFAULT_DT,
+    TRADING_DAYS_PER_YEAR,
     MarketDataError,
     PriceSeries,
     load_dividends,
@@ -227,8 +228,6 @@ def mape(predicted, actual) -> float:
     act = np.asarray(actual, dtype=float)
     if pred.shape != act.shape or pred.ndim != 1:
         raise PricingError(f"length mismatch: {pred.shape} vs {act.shape}")
-    if pred.shape[0] == 0:
-        raise PricingError("empty inputs")
     zero = np.nonzero(act == 0.0)[0]
     if zero.size:
         raise PricingError(f"actual value is zero at index {int(zero[0])}")
@@ -471,7 +470,8 @@ def generate_tracks_csv(cfg: ExperimentConfig, count: int, out_path: str) -> Non
 def price_equity_futures_pipeline(cfg: ExperimentConfig, t0_years: float) -> float:
     """End-to-end equity futures price: train/sample/filter plus dividend fit.
 
-    The dividend trend is read T0/dt business days after the last price date.
+    The dividend trend is read round(T0 * 252) business days after the last
+    price date: T0 in trading days, whatever the track step dt.
     """
     if not cfg.dividends_path:
         raise ConfigError("equity futures pricing needs [data] dividends")
@@ -479,8 +479,8 @@ def price_equity_futures_pipeline(cfg: ExperimentConfig, t0_years: float) -> flo
     fit = _stage("pricing_futures", fit_dividends, dividends)
     series, _, paths = _retained(cfg, "pricing_futures", [t0_years])
     tracks = paths[t0_years]
-    # the paths end on the payoff day k
-    t_star = int(np.busday_count(dividends.origin, series.dates[-1])) + tracks.shape[1]
+    t_star = (int(np.busday_count(dividends.origin, series.dates[-1]))
+              + round(t0_years * TRADING_DAYS_PER_YEAR))
     forecast = predict_dividend(fit, t_star)
     return _stage(
         "pricing_futures",

@@ -72,18 +72,12 @@ def price_equity_futures(
 ) -> float:
     """spot * exp{(r - mean dividend yield over tracks) * T0}."""
     terminal = terminal_values(tracks, t0_years, dt)
-    if not (spot > 0):
-        raise PricingError(f"spot must be positive, got {spot}")
-    if np.any(terminal <= 0):
-        raise PricingError("non-positive generated price at the delivery index")
     mean_yield = float((dividend_forecast / terminal).mean())
     return float(spot * math.exp((r - mean_yield) * t0_years))
 
 
 def estimate_carry(quotes: QuoteSeries, r: float, t0_years: float, n3: int) -> CarryEstimate:
     """Mean of F/exp(r*T0) - spot over the latest n3+1 quote rows."""
-    if n3 < 0:
-        raise PricingError(f"N3 must be >= 0, got {n3}")
     if len(quotes) < n3 + 1:
         raise PricingError(f"insufficient history: need {n3 + 1} quotes, have {len(quotes)}")
     last = np.asarray(quotes.last[-(n3 + 1) :], dtype=float)

@@ -163,8 +163,6 @@ class MlpParams:
 
 def init_mlp(dims: list[int], activations: list[str], rng: np.random.Generator) -> MlpParams:
     """He-style initialization scaled for the fan-in of each layer."""
-    if len(activations) != len(dims) - 1:
-        raise GanError("need one activation per layer")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         std = np.sqrt(2.0 / fan_in)
@@ -230,8 +228,6 @@ def backward(net: MlpParams, x, upstream) -> MlpGrads:
     if xv.ndim == 1:
         xv = xv[None, :]
         uv = uv[None, :]
-    if xv.shape[1] != net.layer_dims[0]:
-        raise GanError(f"input dim {xv.shape[1]} != first layer dim {net.layer_dims[0]}")
     if uv.shape != (xv.shape[0], net.layer_dims[-1]):
         raise GanError(f"upstream shape {uv.shape} inconsistent with output dim")
     _, cache = _forward_cached(net, xv)
@@ -521,8 +517,6 @@ def train(windows: np.ndarray, cfg: GanConfig) -> tuple[GanModel, TrainReport]:
     repeats the run bit for bit on one numpy/BLAS build and thread count.
     """
     x = np.asarray(windows, dtype=float)
-    if x.ndim != 2 or x.shape[1] != cfg.T:
-        raise GanError(f"training windows must be (count, {cfg.T}), got {x.shape}")
     m = x.shape[0]
     if cfg.batch_size > m:
         raise GanError(f"batch_size {cfg.batch_size} exceeds training-set size {m}")

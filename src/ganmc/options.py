@@ -67,8 +67,6 @@ def discount_factor(r: float, t0_years: float, dt: float) -> float:
 def terminal_values(tracks, t0_years: float, dt: float) -> np.ndarray:
     """Every track's price on the payoff day T0/dt, the one lookup all pricers share."""
     mat = np.asarray(tracks, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] < 1:
-        raise PricingError("need at least one track")
     k = payoff_index(t0_years, dt, mat.shape[1])
     return mat[:, k - 1]
 
@@ -82,18 +80,14 @@ def price_terminals(
     American value: ``upper`` can lie below it."""
     if side == "call":
         mean_payoff = float(np.maximum(terminal - strike, 0.0).mean())
-    elif side == "put":
-        mean_payoff = float(np.maximum(strike - terminal, 0.0).mean())
     else:
-        raise PricingError(f"side must be call or put, got {side!r}")
+        mean_payoff = float(np.maximum(strike - terminal, 0.0).mean())
     discounted = discount_factor(r, t0_years, dt) * mean_payoff
     if style == "european":
         return OptionPrice(value=discounted, lower=discounted, upper=discounted)
-    if style == "american":
-        value = 0.5 * (discounted + mean_payoff)
-        lower, upper = sorted((discounted, mean_payoff))
-        return OptionPrice(value=value, lower=lower, upper=upper)
-    raise PricingError(f"style must be european or american, got {style!r}")
+    value = 0.5 * (discounted + mean_payoff)
+    lower, upper = sorted((discounted, mean_payoff))
+    return OptionPrice(value=value, lower=lower, upper=upper)
 
 
 def price_option(contract: OptionContract, tracks, r: float, dt: float) -> OptionPrice:

@@ -42,8 +42,6 @@ def tsim(x, y) -> float:
     """Mean per-element similarity of two equal-length tracks; 1.0 means identical."""
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
-    if xv.ndim != 1 or yv.ndim != 1:
-        raise SimilarityError("tsim expects 1-D inputs")
     if xv.shape != yv.shape:
         raise SimilarityError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
     if xv.shape[0] == 0:
@@ -97,8 +95,6 @@ def rank_and_select(tracks, reference, alpha: float) -> SimilarityRanking:
     if not (0.0 < alpha < 1.0):
         raise SimilarityError(f"alpha must be in (0,1), got {alpha}")
     mat = np.asarray(tracks, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] < 1:
-        raise SimilarityError("tracks must be a nonempty 2-D array")
     ref = np.asarray(reference, dtype=float)
     if ref.shape != (mat.shape[1],):
         raise SimilarityError(

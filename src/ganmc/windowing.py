@@ -44,12 +44,8 @@ def partition(values: Sequence[float] | np.ndarray, d: int, T: int) -> WindowSet
     n = src.shape[0]
     if d < 1:
         raise WindowingError(f"stride must be >= 1, got {d}")
-    if T < 1:
-        raise WindowingError(f"window length must be >= 1, got {T}")
     if T > n:
         raise WindowingError(f"series too short: T={T} > n={n}")
-    if d > T:
-        raise WindowingError(f"stride {d} exceeds window length {T}")
     windows = sliding_window_view(src, T)[::d].copy()
     return WindowSet(windows=windows, d=d)
 
@@ -65,8 +61,6 @@ def search_stride(
     train_probe returns True when training collapsed for that window set.
     """
     src = np.asarray(values, dtype=float)
-    if n1 < 1:
-        raise WindowingError(f"N1 must be >= 1, got {n1}")
     diagnostics: dict[int, str] = {}
     for d in range(1, T + 1):
         ws = partition(src, d, T)

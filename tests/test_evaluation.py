@@ -244,6 +244,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[model]\nN2 64\n", "2: expected key = value"),
+         ("N2 = 64\n[model]\n", "1: key outside any section")],
+        ids=["no_equals_sign", "key_before_any_section"],
+    )
+    def test_malformed_line_exit_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        assert cli_main(["--config", str(path), "evaluate"]) == 1
+        assert capsys.readouterr().err == f"error: {path}:{message}\n"
+
     def test_bad_value_reports_line(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("[model]\nT = not-a-number\n")
@@ -431,6 +443,33 @@ class TestRunPipeline:
         assert str(exc.value) == message
         assert isinstance(exc.value.__cause__, cause)
 
+    @pytest.mark.parametrize(
+        "kind, strike_to_spot, days, message",
+        [("lr-itm", (1.05, 1.1, 1.15, 1.2), (21, 42, 63, 21),
+          "[baselines] no rows left in regime 'itm'"),
+         ("lr", (1.1,) * 4, (42,) * 4, "[baselines] rank-deficient design matrix")],
+        ids=["no_training_row_in_regime", "one_moneyness_and_tau"],
+    )
+    def test_unfittable_training_rows_exit_one(self, tmp_path, capsys, kind, strike_to_spot, days,
+                                               message):
+        # four training calls at strike = strike_to_spot * spot (above the spot is
+        # out of the money), then two test rows
+        prices = gbm_prices(300, seed=4)
+        prices_path = write_price_csv(tmp_path / "prices.csv", prices.tolist())
+        spot = prices[-1]
+        rows = [("call", "european", m * spot, k / 252, 0.2, 5.0)
+                for m, k in zip(strike_to_spot, days)]
+        rows += [("call", "european", 0.9 * spot, 21 / 252, 0.2, 5.0),
+                 ("call", "european", 1.1 * spot, 42 / 252, 0.2, 5.0)]
+        contracts_path = write_contracts(tmp_path / "contracts.csv", rows)
+        cfg_path = write_config(
+            tmp_path / "cfg.txt", data__prices=prices_path, contracts__file=contracts_path,
+            model__kind=kind, contracts__lr_train_rows="4",
+        )
+        code = cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "r.csv"), "evaluate"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_zero_actual_names_fixture_row(self, tmp_path):
         # contract 7 (file row 9) lies past lr_train_rows, so it is the second
         # reported row: the loader, not mape, must name it
@@ -535,6 +574,19 @@ class TestTrainGan:
                                                 r"d=16: probe collapsed\)$"):
             train_gan(self._cfg(), gbm_prices(260, seed=2))
         assert [d for d, _ in calls] == list(range(1, 17))
+
+    def test_train_command_writes_the_model_checkpoint(self, tmp_path, capsys):
+        prices = gbm_prices(260, seed=2)
+        prices_path = write_price_csv(tmp_path / "prices.csv", prices.tolist())
+        cfg_path = write_config(tmp_path / "cfg.txt", data__prices=prices_path,
+                                model__kind="gan-mc")
+        out = tmp_path / "m.gmc"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out), "train"]) == 0
+        assert capsys.readouterr().out == f"trained at stride d=1, checkpoint written to {out}\n"
+        cfg = parse_config(cfg_path)
+        save_checkpoint(train_gan(cfg, load_price_series(cfg.prices_path, cfg.symbol).prices).model,
+                        tmp_path / "expected.gmc")
+        assert out.read_bytes() == (tmp_path / "expected.gmc").read_bytes()
 
     @pytest.mark.parametrize("n1, code, trained", [(5, 2, 16), (300, 1, 0)],
                              ids=["collapse_at_every_stride", "history_too_short_for_n1"])
@@ -907,6 +959,24 @@ class TestPriceCommands:
         printed = self._printed(capsys, cfg_path, "price-equity-futures", "--t0", repr(self.T0))
         assert float(printed) == pytest.approx(expected, abs=1e-6)
 
+    def test_dividend_trend_is_read_t0_in_trading_days_ahead(self, command_files, tmp_path,
+                                                            monkeypatch):
+        # weekly track days: T0 = 4/52 years is track day 4, but 19 trading days
+        # (4/52 * 252 = 19.4) after the last price date, business day 259
+        _, base, checkpoint = command_files
+        cfg_path = write_config(tmp_path / "cfg.txt", gan__checkpoint=checkpoint,
+                                model__dt=repr(1 / 52), **base)
+        seen = []
+
+        def recorded(fit, t_star):
+            seen.append(t_star)
+            return predict_dividend(fit, t_star)
+
+        monkeypatch.setattr(evaluation, "predict_dividend", recorded)
+        argv = ["--config", str(cfg_path), "price-equity-futures", "--t0", repr(4 / 52)]
+        assert cli_main(argv) == 0
+        assert seen == [259 + 19]
+
     def test_price_commodity(self, setup, capsys):
         cfg_path, cfg, _, tracks = setup
         carry = estimate_carry(load_quotes(cfg.quotes_path, cfg.symbol), cfg.r, self.T0, cfg.n3)
@@ -1040,6 +1110,16 @@ class TestFailBeforeTraining:
         option = ["--side", "call", "--strike", "100"] if command == "price-option" else []
         code = self._exit_code(command_files, tmp_path, [command, *option, "--t0", repr(t0)])
         assert (code, no_training) == (1, [])
+
+    def test_payoff_day_zero_before_any_checkpoint_is_read(self, command_files, tmp_path,
+                                                            no_training, capsys):
+        # 1e-12 years is 2.5e-10 days: integral within 1e-9, and day 0; the
+        # checkpoint does not exist, so reading it would exit 2
+        argv = ["price-option", "--side", "call", "--strike", "100", "--t0", "1e-12"]
+        code = self._exit_code(command_files, tmp_path, argv,
+                               gan__checkpoint=tmp_path / "missing.gmc")
+        assert (code, no_training) == (1, [])
+        assert capsys.readouterr().err == "error: [pricing_options] payoff index 0 < 1\n"
 
     @pytest.mark.parametrize("t0", [0.3, 5.0], ids=["fractional_day", "beyond_T"])
     def test_evaluate_contract_with_bad_payoff_day(self, command_files, tmp_path, no_training, t0):

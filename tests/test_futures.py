@@ -5,16 +5,17 @@ import pytest
 
 from ganmc.futures import (
     CarryEstimate,
+    DividendFit,
     estimate_carry,
     fit_dividends,
     predict_dividend,
     price_commodity,
     price_equity_futures,
 )
-from ganmc.market_data import DividendSeries, QuoteSeries
+from ganmc.market_data import DividendSeries, QuoteSeries, load_dividends
 from ganmc.options import PricingError
 
-from conftest import iso_dates
+from conftest import iso_dates, write_dividend_csv
 
 DT = 1 / 252
 
@@ -54,6 +55,10 @@ class TestFitDividends:
         fit = fit_dividends(make_dividends([5.0] * 6))
         assert fit.slope == 0.0
         assert fit.intercept == pytest.approx(5.0)
+
+    def test_one_row_file_fits_the_flat_line_at_its_dps(self, tmp_path):
+        path = write_dividend_csv(tmp_path / "d.csv", [2.5])
+        assert fit_dividends(load_dividends(path, "SYM")) == DividendFit(slope=0.0, intercept=2.5)
 
     def test_noisy_fit_matches_normal_equations(self, rng):
         t = np.arange(100)

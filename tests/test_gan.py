@@ -178,6 +178,17 @@ class TestFlatParams:
         net.params[:] = 0.0
         assert all(np.all(w == 0.0) for w in net.weights)
 
+    @pytest.mark.parametrize(
+        "weights, biases, activations, message",
+        [([np.ones((2, 3))], [np.ones(2)], ["relu", "identity"], "per-layer lists"),
+         ([np.ones((2, 3))], [np.ones(3)], ["relu"], "weight/bias shapes"),
+         ([np.ones((2, 3))], [np.ones(2)], ["softplus"], "unknown activation 'softplus'")],
+        ids=["list_lengths", "bias_length", "activation"],
+    )
+    def test_inconsistent_layers_rejected(self, weights, biases, activations, message):
+        with pytest.raises(GanError, match=message):
+            MlpParams(weights, biases, activations)
+
     def test_copy_is_independent(self, rng):
         net = init_mlp([4, 6, 3], ["relu", "identity"], rng)
         before = net.params.copy()
@@ -250,6 +261,10 @@ class TestDetectCollapse:
         probe = rng.uniform(0.0, 1.0, (16, 8))
         reason = detect_collapse([1.0, float("nan")], [1.0, 1.0], probe)
         assert reason is not None and "non-finite" in reason
+
+    def test_nan_generator_loss_collapses(self, rng):
+        probe = rng.uniform(0.0, 1.0, (16, 8))
+        assert detect_collapse([1.0, 1.0], [1.0, float("nan")], probe) == "non-finite generator loss"
 
     def test_low_discriminator_loss_run_collapses(self, rng):
         probe = rng.uniform(0.0, 1.0, (16, 8))
@@ -396,6 +411,20 @@ class TestSample:
         tracks = sample(model, 7, seed=9)
         expected = np.random.default_rng(9).standard_normal((7, 5))
         np.testing.assert_allclose(tracks, np.maximum(expected, 1e-6))
+
+    def test_tanh_and_sigmoid_hidden_layers_match_forward(self, rng):
+        # the hidden activations that return a new array: each must leave its
+        # layer's bias input at 1 for the next GEMM
+        dims = [4, 8, 8, 6]
+        gen = MlpParams(
+            weights=[rng.standard_normal((o, i)) for i, o in zip(dims[:-1], dims[1:])],
+            biases=[rng.standard_normal(8), rng.standard_normal(8), np.full(6, 5.0)],
+            activations=["tanh", "sigmoid", "identity"],
+        )
+        model = GanModel(generator=gen, discriminator=init_mlp([6, 1], ["sigmoid"], rng), scale=100.0)
+        z = np.random.default_rng(3).standard_normal((300, 4))
+        expected = np.maximum(forward(gen, z) * model.scale, TRACK_FLOOR_FRACTION * model.scale)
+        np.testing.assert_allclose(sample(model, 300, seed=3), expected, rtol=1e-6, atol=0)
 
     def test_tracks_floored_positive(self, rng):
         model = self._trained_stub(rng)

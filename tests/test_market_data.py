@@ -237,6 +237,16 @@ def test_date_other_than_yyyy_mm_dd_rejected(tmp_path, kind, cell):
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_zero_byte_file_names_the_file(tmp_path, kind):
+    load, _, _ = LOADERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(b"")
+    with pytest.raises(MarketDataError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: empty file"
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
 def test_byte_order_mark_accepted(tmp_path, kind):
     """A UTF-8 byte-order mark before the header, as spreadsheet programs write it, is read."""
     load, header, (first, second) = LOADERS[kind]
